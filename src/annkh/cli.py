@@ -108,8 +108,7 @@ def _cmd_equal(args) -> int:
     w1 = _parse(args.word1, args.strands)
     w2 = _parse(args.word2, args.strands)
     n = max(w1.strands, w2.strands)
-    w1 = _parse(args.word1, n)
-    w2 = _parse(args.word2, n)
+    w1, w2 = BraidWord(n, w1.letters), BraidWord(n, w2.letters)
     env = _envelope("equal", {"word1": w1.as_text(), "word2": w2.as_text(), "strands": n})
     lines = []
     payload = {}

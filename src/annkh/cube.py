@@ -20,15 +20,19 @@ boundary by (j, i) computes ordinary Khovanov homology of the closure;
 keeping only the k-preserving components and grouping by (j, k, i) gives
 the associated graded boundary whose homology is the annular invariant.
 
-Matrices are assembled blockwise with vectorized label arithmetic; the
-cube is enumerated exhaustively, so the state count is exponential in the
-number of crossings and a hard limit (default 20) guards against runaway
-jobs.
+Generators are indexed once, by graded block (j, k, i); a full block
+(j, i) is its graded blocks laid side by side in increasing k. One edge
+sweep with vectorized label arithmetic lists every boundary entry, and
+each boundary's blocks are packed from that list when it is first read.
+The cube is enumerated exhaustively, so the state count is exponential in
+the number of crossings and a hard limit (default 20) guards against
+runaway jobs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -126,42 +130,93 @@ class AnnularComplex:
     is the zero map. full_dims / full_boundary are the same thing for the
     full boundary, keyed by (j, i). k_increase_components counts boundary
     components that raised k; it must be zero.
+
+    Generators are indexed once, by graded block. A full block (j, i) is
+    its graded blocks (j, k, i) laid side by side in increasing k, so each
+    graded block has a full block id and a column offset there. Both
+    boundaries are packed from one shared entry list when first read: a
+    caller that reads one never allocates the other.
     """
 
     def __init__(
         self,
         diagram: AnnularClosureDiagram,
-        graded_dims: dict,
-        graded_boundary: dict,
-        full_dims: dict,
-        full_boundary: dict,
-        k_increase_components: int,
-        total_generators: int,
-        f_bid,
-        f_pos,
-        fkey_list,
-        circle_counts,
-        essential_counts,
+        gkeys: dict,
+        gsizes: list[int],
+        g_bid: list[np.ndarray],
+        g_pos: list[np.ndarray],
+        entries: np.ndarray,
+        circle_counts: list[int],
+        essential_counts: list[int],
     ):
         self.diagram = diagram
         self.strands = diagram.strands
-        self.graded_dims = graded_dims
-        self.graded_boundary = graded_boundary
-        self.full_dims = full_dims
-        self.full_boundary = full_boundary
-        self.k_increase_components = k_increase_components
-        self.total_generators = total_generators
+        self.total_generators = sum(1 << m for m in circle_counts)
         self.num_vertices = 1 << diagram.num_crossings
-        self._f_bid = f_bid
-        self._f_pos = f_pos
-        self._fkey_list = fkey_list
+        self._g_bid = g_bid
+        self._g_pos = g_pos
+        self._entries = entries
         self._circle_counts = circle_counts
         self._essential_counts = essential_counts
 
+        self._gkey_list = list(gkeys)
+        self._gsizes = gsizes
+        self._gsucc = np.array(
+            [gkeys.get((j, k, i + 1), -1) for (j, k, i) in gkeys], dtype=np.int64
+        )
+        self.graded_dims = dict(zip(self._gkey_list, gsizes))
+        block_k = np.array([k for _j, k, _i in self._gkey_list], dtype=np.int64)
+
+        fkeys: dict[tuple[int, int], int] = {}
+        for j, _k, i in self._gkey_list:
+            fkeys.setdefault((j, i), len(fkeys))
+        self._fkey_list = list(fkeys)
+        self._fsizes = [0] * len(fkeys)
+        self._fsucc = np.array([fkeys.get((j, i + 1), -1) for (j, i) in fkeys], dtype=np.int64)
+        self._block_fid = np.empty(len(gsizes), dtype=np.int64)
+        self._block_offset = np.empty(len(gsizes), dtype=np.int64)
+        for gid in np.argsort(block_k):
+            j, _k, i = self._gkey_list[gid]
+            fid = fkeys[(j, i)]
+            self._block_fid[gid] = fid
+            self._block_offset[gid] = self._fsizes[fid]
+            self._fsizes[fid] += gsizes[gid]
+        self.full_dims = dict(zip(self._fkey_list, self._fsizes))
+
+        # safety checks over every boundary entry, run on every build
+        src, _, dst, _ = entries
+        self.k_increase_components = int(np.count_nonzero(block_k[dst] > block_k[src]))
+        if not np.array_equal(self._block_fid[dst], self._fsucc[self._block_fid[src]]):
+            raise AssertionError("a boundary component left its quantum block")
+
+    @cached_property
+    def graded_boundary(self) -> dict:
+        """The k-preserving boundary blocks, keyed by (j, k, i)."""
+        src, row, dst, col = self._entries
+        keep = dst == self._gsucc[src]
+        return _assemble(
+            src[keep], row[keep], col[keep], self._gsizes, self._gsucc, self._gkey_list
+        )
+
+    @cached_property
+    def full_boundary(self) -> dict:
+        """The whole boundary's blocks, keyed by (j, i)."""
+        src, row, dst, col = self._entries
+        offset = self._block_offset
+        return _assemble(
+            self._block_fid[src],
+            offset[src] + row,
+            offset[dst] + col,
+            self._fsizes,
+            self._fsucc,
+            self._fkey_list,
+        )
+
     def full_position(self, vertex: int, labels: int) -> tuple[tuple[int, int], int]:
         """Locate a generator in its full block: ((j, i), column index)."""
-        bid = int(self._f_bid[vertex][labels])
-        return self._fkey_list[bid], int(self._f_pos[vertex][labels])
+        gid = int(self._g_bid[vertex][labels])
+        pos = int(self._block_offset[gid]) + int(self._g_pos[vertex][labels])
+        return self._fkey_list[self._block_fid[gid]], pos
 
     def d_squared_is_zero(self, mode: str = "graded") -> bool:
         """Exhaustive matrix check that consecutive boundaries compose to zero."""
@@ -198,7 +253,7 @@ def build_complex(
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
     progress: Callable[[int, int], None] | None = None,
 ) -> AnnularComplex:
-    """Enumerate the cube of resolutions and assemble all boundary blocks.
+    """Enumerate the cube of resolutions and list every boundary entry.
 
     progress, when given, is called as progress(vertices_processed,
     total_vertices) at a coarse cadence during the edge sweep.
@@ -230,16 +285,11 @@ def build_complex(
         if len(windings) > 26:
             raise CrossingLimitError(c, max_crossings, n, circles=len(windings))
 
-    # per-vertex label indexing into global blocks
+    # per-vertex label indexing into graded blocks (j, k, i)
     gkeys: dict[tuple[int, int, int], int] = {}
     gsizes: list[int] = []
-    fkeys: dict[tuple[int, int], int] = {}
-    fsizes: list[int] = []
     g_bid: list[np.ndarray] = []
     g_pos: list[np.ndarray] = []
-    f_bid: list[np.ndarray] = []
-    f_pos: list[np.ndarray] = []
-    k_arr: list[np.ndarray] = []
     ranges: dict[int, np.ndarray] = {}
     kspan = 2 * n + 2
 
@@ -256,8 +306,6 @@ def build_complex(
         eplus = np.bitwise_count(labels & emask).astype(np.int64)
         jj = 2 * plus - m + jbase
         kk = 2 * eplus - ecnt
-        k_arr.append(kk.astype(np.int16))
-        # one stable sort serves both groupings: the code orders by (j, k)
         code = jj * kspan + kk
         order = np.argsort(code, kind="stable")
         sorted_code = code[order]
@@ -268,53 +316,22 @@ def build_complex(
         ends = np.append(starts[1:], sorted_code.size)
         gb = np.empty(1 << m, dtype=np.int32)
         gp = np.empty(1 << m, dtype=np.int32)
-        fb = np.empty(1 << m, dtype=np.int32)
-        fp = np.empty(1 << m, dtype=np.int32)
-        f_gid = -1
-        f_prev_j = None
-        f_fill = 0
         for s, e in zip(starts, ends):
             sel = order[s:e]
-            jv = int(jj[sel[0]])
-            kv = int(kk[sel[0]])
-            gid = gkeys.get((jv, kv, i))
+            key = (int(jj[sel[0]]), int(kk[sel[0]]), i)
+            gid = gkeys.get(key)
             if gid is None:
-                gid = gkeys[(jv, kv, i)] = len(gsizes)
+                gid = gkeys[key] = len(gsizes)
                 gsizes.append(0)
             gb[sel] = gid
             gp[sel] = gsizes[gid] + np.arange(e - s, dtype=np.int32)
             gsizes[gid] += int(e - s)
-            if jv != f_prev_j:
-                f_prev_j = jv
-                f_gid = fkeys.get((jv, i))
-                if f_gid is None:
-                    f_gid = fkeys[(jv, i)] = len(fsizes)
-                    fsizes.append(0)
-                f_fill = fsizes[f_gid]
-            fb[sel] = f_gid
-            fp[sel] = f_fill + np.arange(e - s, dtype=np.int32)
-            f_fill += int(e - s)
-            fsizes[f_gid] = f_fill
         g_bid.append(gb)
         g_pos.append(gp)
-        f_bid.append(fb)
-        f_pos.append(fp)
 
-    gkey_list = list(gkeys)
-    fkey_list = list(fkeys)
-    gsucc = np.array(
-        [gkeys.get((j, k, i + 1), -1) for (j, k, i) in gkey_list] or [0], dtype=np.int64
-    )
-    fsucc = np.array([fkeys.get((j, i + 1), -1) for (j, i) in fkey_list] or [0], dtype=np.int64)
-
-    # edge sweep: vectorize the Frobenius map over all labelings at once
-    ge_bid: list[np.ndarray] = []
-    ge_row: list[np.ndarray] = []
-    ge_col: list[np.ndarray] = []
-    fe_bid: list[np.ndarray] = []
-    fe_row: list[np.ndarray] = []
-    fe_col: list[np.ndarray] = []
-    k_violations = 0
+    # edge sweep: vectorize the Frobenius map over all labelings at once,
+    # emitting (source block, source position, target block, target position)
+    chunks: list[np.ndarray] = []
 
     for v in range(nv):
         if progress is not None and (v & 511) == 0:
@@ -359,56 +376,19 @@ def build_complex(
                 pos_src = labels[ispos]
                 src = np.concatenate([labels[~ispos], pos_src, pos_src])
                 dst = np.concatenate([neg_dst, pos_base | (1 << d1), pos_base | (1 << d2)])
-            if src.size == 0:
-                continue
-            k_src = k_arr[v][src]
-            k_dst = k_arr[u][dst]
-            k_violations += int(np.count_nonzero(k_dst > k_src))
-            src_fbid = f_bid[v][src]
-            if not np.array_equal(f_bid[u][dst], fsucc[src_fbid]):
-                raise AssertionError("a boundary component left its quantum block")
-            fe_bid.append(src_fbid)
-            fe_row.append(f_pos[v][src])
-            fe_col.append(f_pos[u][dst])
-            src_gbid = g_bid[v][src]
-            keep_g = g_bid[u][dst] == gsucc[src_gbid]
-            ge_bid.append(src_gbid[keep_g])
-            ge_row.append(g_pos[v][src][keep_g])
-            ge_col.append(g_pos[u][dst][keep_g])
+            chunks.append(np.stack((g_bid[v][src], g_pos[v][src], g_bid[u][dst], g_pos[u][dst])))
     if progress is not None:
         progress(nv, nv)
 
-    graded_boundary = _assemble(ge_bid, ge_row, ge_col, gsizes, gsucc, gkey_list)
-    full_boundary = _assemble(fe_bid, fe_row, fe_col, fsizes, fsucc, fkey_list)
-    graded_dims = {key: gsizes[gid] for key, gid in gkeys.items()}
-    full_dims = {key: fsizes[fid] for key, fid in fkeys.items()}
-
-    return AnnularComplex(
-        diagram=d,
-        graded_dims=graded_dims,
-        graded_boundary=graded_boundary,
-        full_dims=full_dims,
-        full_boundary=full_boundary,
-        k_increase_components=k_violations,
-        total_generators=sum(1 << m for m in m_list),
-        f_bid=f_bid,
-        f_pos=f_pos,
-        fkey_list=fkey_list,
-        circle_counts=m_list,
-        essential_counts=ecnt_list,
-    )
+    entries = np.concatenate(chunks, axis=1) if chunks else np.empty((4, 0), dtype=np.int32)
+    return AnnularComplex(d, gkeys, gsizes, g_bid, g_pos, entries, m_list, ecnt_list)
 
 
-def _assemble(bid_chunks, row_chunks, col_chunks, sizes, succ, key_list) -> dict:
+def _assemble(bid, row, col, sizes, succ, key_list) -> dict:
     """Group coordinate entries by block and pack each block's matrix."""
     out: dict = {}
-    if not bid_chunks:
-        return out
-    bid = np.concatenate(bid_chunks)
     if bid.size == 0:
         return out
-    row = np.concatenate(row_chunks)
-    col = np.concatenate(col_chunks)
     order = np.argsort(bid, kind="stable")
     bid, row, col = bid[order], row[order], col[order]
     boundaries = np.flatnonzero(np.diff(bid)) + 1

@@ -55,10 +55,6 @@ class F2Matrix:
         cIdx = np.asarray(cIdx, dtype=np.int64)
         if rIdx.size and (rIdx.min() < 0 or rIdx.max() >= rows or cIdx.min() < 0 or cIdx.max() >= cols):
             raise ValueError("entry index out of range")
-        if rows * cols <= (1 << 24):
-            dense = np.zeros((rows, cols), dtype=np.uint8)
-            dense[rIdx, cIdx] = 1
-            return cls.from_dense(dense)
         data = np.zeros((rows, _width(cols)), dtype=np.uint8)
         np.bitwise_or.at(data, (rIdx, cIdx >> 3), np.uint8(1) << (cIdx & 7).astype(np.uint8))
         return cls(rows, cols, data)

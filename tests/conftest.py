@@ -1,7 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from annkh import build_complex, closure_diagram, homology_full, homology_graded
 from annkh.words import BraidWord
+
+# tests that start `python -m annkh.cli` need the source tree on the path too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # shared corpus: (strands, letters), all at most 8 crossings so the
 # exhaustive d-squared checks stay cheap

@@ -64,6 +64,14 @@ def test_equal_unequal_exit_two(capsys):
     assert "unequal-by-permutation" in capsys.readouterr().out
 
 
+def test_equal_widens_to_the_larger_strand_count(capsys):
+    code, env = run_json(capsys, ["equal", "1", "1 2 -2", "--json"])
+    assert code == 0
+    assert env["input"] == {"word1": "1", "word2": "1 2 -2", "strands": 3}
+    assert env["verdict"] == "equal"
+    assert env["payload"] == {"garside": "equal", "skh": "equal", "agree": True}
+
+
 def test_trivial_exit_codes(capsys):
     assert run(["trivial", "1 -1"]) == 0
     capsys.readouterr()

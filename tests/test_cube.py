@@ -8,6 +8,8 @@ from annkh.cube import (
     plamenevskaya_generator,
 )
 from annkh.diagram import closure_diagram
+from annkh.gf2 import F2Matrix
+from annkh.homology import homology_full, homology_graded
 from annkh.words import BraidWord, parse_word
 
 
@@ -125,3 +127,22 @@ def test_empty_word_complex():
     assert cx.graded_boundary == {}
     assert cx.full_boundary == {}
     assert cx.bottom_k_chain_dim() == 1
+
+
+def test_each_caller_packs_only_what_it_reads(monkeypatch):
+    calls = []
+    original = F2Matrix.from_entries
+
+    def counting(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(F2Matrix, "from_entries", staticmethod(counting))
+    cx = cx_of("1 -2 1 -2", strands=3)
+    assert calls == []
+    homology_graded(cx)
+    assert len(calls) == len(cx.graded_boundary) > 0
+    calls.clear()
+    cx = cx_of("1 -2 1 -2", strands=3)
+    homology_full(cx)
+    assert len(calls) == len(cx.full_boundary) > 0

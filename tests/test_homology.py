@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from naive_skh import naive_kh, naive_skh
 
 from annkh.homology import kh, poincare_polynomial, skh, total_dim
@@ -103,3 +105,20 @@ def test_poincare_polynomial_formatting():
 def test_total_dim():
     assert total_dim(skh_trivial(3)) == 8
     assert total_dim({}) == 0
+
+
+@st.composite
+def small_words(draw):
+    n = draw(st.integers(2, 4))
+    alphabet = [g for g in range(1 - n, n) if g != 0]
+    return BraidWord(n, tuple(draw(st.lists(st.sampled_from(alphabet), max_size=8))))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(small_words())
+def test_sl2_weight_symmetry(w):
+    # the sl2 action on annular homology (Grigsby-Licata-Wehrli) makes each
+    # weight string symmetric: (i, j, k) and (i, j - 2k, -k) have equal dims
+    table = skh(w)
+    for (i, j, k), dim in table.items():
+        assert table.get((i, j - 2 * k, -k)) == dim
