@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: skh, kh, equal, trivial, plam, burau, flype, resolve. Output
-is plain text by default or a JSON envelope with --json; JSON keys are
-sorted and the envelope schema is fixed per subcommand, so identical
-inputs produce identical bytes (except the time_ms field, which reports
-wall time and is the one documented nondeterminism).
+Subcommands: skh, kh, equal, trivial, plam, burau, flype, resolve. Each
+subcommand, its flags and its handler come from one table, COMMANDS, from
+which build_parser makes the parser; run alone times the handler, prints
+its envelope and turns a ValueError into exit code 1. Output is plain
+text by default or a JSON envelope with --json; JSON keys are sorted and
+the envelope schema is fixed per subcommand, so identical inputs produce
+identical bytes (except the time_ms field, which reports wall time and
+is the one documented nondeterminism).
 
 Exit codes: 0 for success, 2 for a mathematically negative decision
 (words unequal, braid nontrivial, flype check failure), 1 for operational
@@ -23,10 +26,10 @@ import json
 import sys
 import time
 
-from .burau import burau_kernel_check, burau_matrix, char_poly, laurent_det
-from .cube import DEFAULT_MAX_CROSSINGS, CrossingLimitError, build_complex
+from .burau import burau_matrix, char_poly, laurent_det
+from .cube import DEFAULT_MAX_CROSSINGS, build_complex
 from .diagram import closure_diagram
-from .garside import words_equal
+from .garside import left_normal_form, words_equal
 from .homology import homology_full, homology_graded, poincare_polynomial, skh, total_dim
 from .invariants import (
     flype_pair,
@@ -39,77 +42,59 @@ from .words import BraidWord, parse_word
 FLYPE_CITATION = "[Tab. 2, MR2468377]"
 
 
-def _envelope(command: str, args_input: dict) -> dict:
-    return {
-        "command": command,
-        "input": args_input,
-        "dims": [],
-        "total": None,
-        "verdict": None,
-        "payload": {},
-        "stats": {},
-        "time_ms": 0,
-    }
+def _arg(*flags, **spec) -> tuple:
+    return flags, spec
 
 
-def _emit(env: dict, as_json: bool, lines: list[str], started: float) -> None:
-    env["time_ms"] = int((time.perf_counter() - started) * 1000)
-    if as_json:
-        print(json.dumps(env, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+WORD = _arg("word", help="braid word, e.g. \"1 2 -1\" (use -- before negative first letters)")
+STRANDS = _arg("--strands", type=int, default=None, help="strand count (default: smallest valid)")
+MAX_CROSSINGS = _arg(
+    "--max-crossings",
+    type=int,
+    default=DEFAULT_MAX_CROSSINGS,
+    help=f"refuse diagrams above this many crossings (default {DEFAULT_MAX_CROSSINGS})",
+)
 
 
-def _parse(text: str, strands) -> BraidWord:
-    return parse_word(text, strands=strands)
+def _word(args, env: dict) -> BraidWord:
+    w = parse_word(args.word, strands=args.strands)
+    env["input"] = {"word": w.as_text(), "strands": w.strands}
+    return w
 
 
-def _complex_stats(cx) -> dict:
-    return {
+def _homology_table(env: dict, cx, dims: dict) -> list[str]:
+    poly = poincare_polynomial(dims)
+    env["dims"] = [[*degrees, d] for degrees, d in sorted(dims.items())]
+    env["total"] = total_dim(dims)
+    env["payload"] = {"poincare": poly}
+    env["stats"] = {
         "generators": cx.total_generators,
         "vertices": cx.num_vertices,
         "k_increase_components": cx.k_increase_components,
     }
+    return [poly, f"total dimension: {env['total']}"]
 
 
-def _cmd_skh(args) -> int:
-    started = time.perf_counter()
-    w = _parse(args.word, args.strands)
+def _cmd_skh(args, env):
+    w = _word(args, env)
     cx = build_complex(closure_diagram(w), max_crossings=args.max_crossings)
     dims = {(i, j, k): d for (j, k, i), d in homology_graded(cx).items()}
-    poly = poincare_polynomial(dims)
-    env = _envelope("skh", {"word": w.as_text(), "strands": w.strands})
-    env["dims"] = [[i, j, k, d] for (i, j, k), d in sorted(dims.items())]
-    env["total"] = total_dim(dims)
-    env["payload"] = {"poincare": poly}
-    env["stats"] = _complex_stats(cx)
-    _emit(env, args.json, [poly, f"total dimension: {env['total']}"], started)
-    return 0
+    return _homology_table(env, cx, dims), 0
 
 
-def _cmd_kh(args) -> int:
-    started = time.perf_counter()
-    w = _parse(args.word, args.strands)
+def _cmd_kh(args, env):
+    w = _word(args, env)
     cx = build_complex(closure_diagram(w), max_crossings=args.max_crossings)
     dims = {(i, j): d for (j, i), d in homology_full(cx).items()}
-    poly = poincare_polynomial(dims)
-    env = _envelope("kh", {"word": w.as_text(), "strands": w.strands})
-    env["dims"] = [[i, j, d] for (i, j), d in sorted(dims.items())]
-    env["total"] = total_dim(dims)
-    env["payload"] = {"poincare": poly}
-    env["stats"] = _complex_stats(cx)
-    _emit(env, args.json, [poly, f"total dimension: {env['total']}"], started)
-    return 0
+    return _homology_table(env, cx, dims), 0
 
 
-def _cmd_equal(args) -> int:
-    started = time.perf_counter()
-    w1 = _parse(args.word1, args.strands)
-    w2 = _parse(args.word2, args.strands)
+def _cmd_equal(args, env):
+    w1 = parse_word(args.word1, strands=args.strands)
+    w2 = parse_word(args.word2, strands=args.strands)
     n = max(w1.strands, w2.strands)
     w1, w2 = BraidWord(n, w1.letters), BraidWord(n, w2.letters)
-    env = _envelope("equal", {"word1": w1.as_text(), "word2": w2.as_text(), "strands": n})
+    env["input"] = {"word1": w1.as_text(), "word2": w2.as_text(), "strands": n}
     lines = []
     payload = {}
     verdicts = []
@@ -130,17 +115,14 @@ def _cmd_equal(args) -> int:
         lines.append("AGREE" if agree else "DISAGREE")
     env["verdict"] = "equal" if verdicts[-1] else "unequal"
     env["payload"] = payload
-    _emit(env, args.json, lines, started)
     if not agree:
-        return 1
-    return 0 if all(verdicts) else 2
+        return lines, 1
+    return lines, 0 if all(verdicts) else 2
 
 
-def _cmd_trivial(args) -> int:
-    started = time.perf_counter()
-    w = _parse(args.word, args.strands)
+def _cmd_trivial(args, env):
+    w = _word(args, env)
     decision = is_trivial(w, max_crossings=args.max_crossings)
-    env = _envelope("trivial", {"word": w.as_text(), "strands": w.strands})
     env["verdict"] = decision.verdict
     lines = [decision.verdict]
     if decision.witness is not None:
@@ -151,17 +133,14 @@ def _cmd_trivial(args) -> int:
         }
         lines.append(f"computed: {poincare_polynomial(computed)}")
         lines.append(f"trivial form: {poincare_polynomial(expected)}")
-    _emit(env, args.json, lines, started)
-    return 0 if decision.equal else 2
+    return lines, 0 if decision.equal else 2
 
 
-def _cmd_plam(args) -> int:
-    started = time.perf_counter()
-    w = _parse(args.word, args.strands)
+def _cmd_plam(args, env):
+    w = _word(args, env)
     psi = plamenevskaya(w, max_crossings=args.max_crossings)
     mirror_psi = plamenevskaya(w.mirror(), max_crossings=args.max_crossings)
     certificate = psi.nonzero and mirror_psi.nonzero
-    env = _envelope("plam", {"word": w.as_text(), "strands": w.strands})
     env["verdict"] = "nonzero" if psi.nonzero else "zero"
     env["payload"] = {
         "bidegree": list(psi.bidegree),
@@ -179,8 +158,7 @@ def _cmd_plam(args) -> int:
             else "certificate: none"
         ),
     ]
-    _emit(env, args.json, lines, started)
-    return 0
+    return lines, 0
 
 
 def _matrix_grid(m) -> list[str]:
@@ -192,23 +170,21 @@ def _matrix_grid(m) -> list[str]:
     ]
 
 
-def _cmd_burau(args) -> int:
-    started = time.perf_counter()
-    w = _parse(args.word, args.strands)
+def _cmd_burau(args, env):
+    w = _word(args, env)
     m = burau_matrix(w)
-    env = _envelope("burau", {"word": w.as_text(), "strands": w.strands})
     lines = _matrix_grid(m)
+    identity = m.is_identity()
     payload = {
         "matrix": [[str(e) for e in row] for row in m.entries],
         "det": str(laurent_det(m)),
-        "is_identity": m.is_identity(),
+        "is_identity": identity,
     }
     if args.charpoly:
         cp = str(char_poly(m))
         payload["charpoly"] = cp
         lines.append(f"char poly: {cp}")
-    scope_note = None
-    if m.is_identity() and not words_equal(w, BraidWord(w.strands, ())):
+    if identity and not left_normal_form(w).is_trivial():
         scope_note = (
             "note: Burau image is the identity yet the braid is nontrivial "
             "(Garside normal form); its closure homology is out of range here "
@@ -217,18 +193,14 @@ def _cmd_burau(args) -> int:
         payload["scope_note"] = scope_note
         lines.append(scope_note)
     env["payload"] = payload
-    env["verdict"] = "identity" if payload["is_identity"] else "non-identity"
-    _emit(env, args.json, lines, started)
-    return 0
+    env["verdict"] = "identity" if identity else "non-identity"
+    return lines, 0
 
 
-def _cmd_flype(args) -> int:
-    started = time.perf_counter()
+def _cmd_flype(args, env):
     sign = 1 if args.sign in ("+", "+1") else -1
     first, second = flype_pair(args.u, args.v, args.w, sign)
-    env = _envelope(
-        "flype", {"u": args.u, "v": args.v, "w": args.w, "sign": sign}
-    )
+    env["input"] = {"u": args.u, "v": args.v, "w": args.w, "sign": sign}
     payload = {
         "first": first.as_text(),
         "second": second.as_text(),
@@ -250,20 +222,14 @@ def _cmd_flype(args) -> int:
         if not same:
             code = 2
     env["payload"] = payload
-    _emit(env, args.json, lines, started)
-    return code
+    return lines, code
 
 
-def _cmd_resolve(args) -> int:
-    started = time.perf_counter()
-    w = _parse(args.word, args.strands)
+def _cmd_resolve(args, env):
+    w = _word(args, env)
+    env["input"]["vertex"] = args.vertex
     d = closure_diagram(w)
-    if not 0 <= args.vertex < (1 << d.num_crossings):
-        raise ValueError(
-            f"vertex {args.vertex} out of range for {d.num_crossings} crossings"
-        )
     state = d.resolve(args.vertex)
-    env = _envelope("resolve", {"word": w.as_text(), "strands": w.strands, "vertex": args.vertex})
     circles = []
     lines = [
         f"vertex {args.vertex} = {args.vertex:0{max(d.num_crossings, 1)}b} "
@@ -279,22 +245,45 @@ def _cmd_resolve(args) -> int:
         "braid_like": [d.braid_like(t, args.vertex) for t in range(d.num_crossings)],
     }
     env["total"] = state.num_circles
-    _emit(env, args.json, lines, started)
-    return 0
+    return lines, 0
 
 
-def _add_common(sub, word: bool = True, limit: bool = True):
-    if word:
-        sub.add_argument("word", help="braid word, e.g. \"1 2 -1\" (use -- before negative first letters)")
-        sub.add_argument("--strands", type=int, default=None, help="strand count (default: smallest valid)")
-    if limit:
-        sub.add_argument(
-            "--max-crossings",
-            type=int,
-            default=DEFAULT_MAX_CROSSINGS,
-            help=f"refuse diagrams above this many crossings (default {DEFAULT_MAX_CROSSINGS})",
-        )
-    sub.add_argument("--json", action="store_true", help="emit a JSON envelope instead of text")
+# (name, help, handler, arguments); build_parser adds --json to every entry.
+# Entries hold the handlers above, which look up library functions as module
+# globals at call time, so anything that replaces those globals is seen.
+COMMANDS = (
+    ("skh", "triple-graded annular homology of the closure", _cmd_skh,
+     (WORD, STRANDS, MAX_CROSSINGS)),
+    ("kh", "ordinary Khovanov homology of the closure", _cmd_kh,
+     (WORD, STRANDS, MAX_CROSSINGS)),
+    ("equal", "decide equality of two braid words", _cmd_equal, (
+        _arg("word1"),
+        _arg("word2"),
+        STRANDS,
+        _arg("--method", choices=("skh", "garside", "both"), default="both"),
+        MAX_CROSSINGS,
+    )),
+    ("trivial", "decide triviality homologically", _cmd_trivial,
+     (WORD, STRANDS, MAX_CROSSINGS)),
+    ("plam", "distinguished bottom-k class of word and mirror", _cmd_plam,
+     (WORD, STRANDS, MAX_CROSSINGS)),
+    ("burau", "Burau matrix over Z[T^+-1]", _cmd_burau, (
+        WORD,
+        STRANDS,
+        MAX_CROSSINGS,
+        _arg("--charpoly", action="store_true", help="also print det(L*I - M)"),
+    )),
+    ("flype", "emit a 3-strand flype pair", _cmd_flype, (
+        _arg("--u", type=int, required=True),
+        _arg("--v", type=int, required=True),
+        _arg("--w", type=int, required=True),
+        _arg("--sign", choices=("+", "-", "+1", "-1"), required=True),
+        _arg("--check", action="store_true", help="verify the pair's homology agrees"),
+        MAX_CROSSINGS,
+    )),
+    ("resolve", "debug dump of one cube resolution", _cmd_resolve,
+     (WORD, _arg("vertex", type=int), STRANDS)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,54 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
         "with Garside and Burau cross-checks.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("skh", help="triple-graded annular homology of the closure")
-    _add_common(p)
-    p.set_defaults(func=_cmd_skh)
-
-    p = subs.add_parser("kh", help="ordinary Khovanov homology of the closure")
-    _add_common(p)
-    p.set_defaults(func=_cmd_kh)
-
-    p = subs.add_parser("equal", help="decide equality of two braid words")
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.add_argument("--strands", type=int, default=None)
-    p.add_argument("--method", choices=("skh", "garside", "both"), default="both")
-    p.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_equal)
-
-    p = subs.add_parser("trivial", help="decide triviality homologically")
-    _add_common(p)
-    p.set_defaults(func=_cmd_trivial)
-
-    p = subs.add_parser("plam", help="distinguished bottom-k class of word and mirror")
-    _add_common(p)
-    p.set_defaults(func=_cmd_plam)
-
-    p = subs.add_parser("burau", help="Burau matrix over Z[T^+-1]")
-    _add_common(p)
-    p.add_argument("--charpoly", action="store_true", help="also print det(L*I - M)")
-    p.set_defaults(func=_cmd_burau)
-
-    p = subs.add_parser("flype", help="emit a 3-strand flype pair")
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--sign", choices=("+", "-", "+1", "-1"), required=True)
-    p.add_argument("--check", action="store_true", help="verify the pair's homology agrees")
-    p.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_flype)
-
-    p = subs.add_parser("resolve", help="debug dump of one cube resolution")
-    p.add_argument("word")
-    p.add_argument("vertex", type=int)
-    p.add_argument("--strands", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_resolve)
-
+    for name, help_text, handler, arguments in COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for flags, spec in arguments:
+            sub.add_argument(*flags, **spec)
+        sub.add_argument("--json", action="store_true", help="emit a JSON envelope instead of text")
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -361,14 +308,29 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    started = time.perf_counter()
+    env = {
+        "command": args.command,
+        "input": {},
+        "dims": [],
+        "total": None,
+        "verdict": None,
+        "payload": {},
+        "stats": {},
+        "time_ms": 0,
+    }
     try:
-        return args.func(args)
-    except CrossingLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        lines, code = args.handler(args, env)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    env["time_ms"] = int((time.perf_counter() - started) * 1000)
+    if args.json:
+        print(json.dumps(env, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def main() -> None:

@@ -94,10 +94,6 @@ class Permutation:
         """Positions i with images[i] > images[i+1]."""
         return frozenset(i for i in range(self.n - 1) if self.images[i] > self.images[i + 1])
 
-    def inversions(self) -> int:
-        imgs = self.images
-        return sum(1 for a in range(self.n) for b in range(a + 1, self.n) if imgs[a] > imgs[b])
-
 
 @dataclass(frozen=True)
 class BraidWord:

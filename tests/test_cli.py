@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from annkh.burau import bigelow_kernel_word
 from annkh.cli import run
 
@@ -31,6 +33,43 @@ def test_skh_json_envelope(capsys):
     assert env["payload"]["poincare"] == "q^-1*a^-2 + q + q^3*a^2 + t*q^3"
     assert env["stats"]["vertices"] == 2
     assert env["stats"]["k_increase_components"] == 0
+
+
+WORD_INPUT = {"word", "strands"}
+
+
+ENVELOPE_CASES = [
+    (["skh", "1"], WORD_INPUT),
+    (["kh", "1"], WORD_INPUT),
+    (["equal", "1", "1"], {"word1", "word2", "strands"}),
+    (["trivial", "1 -1"], WORD_INPUT),
+    (["plam", "1"], WORD_INPUT),
+    (["burau", "1"], WORD_INPUT),
+    (["flype", "--u", "1", "--v", "1", "--w", "1", "--sign", "+"], {"u", "v", "w", "sign"}),
+    (["resolve", "1", "0"], WORD_INPUT | {"vertex"}),
+]
+
+
+@pytest.mark.parametrize("argv, input_keys", ENVELOPE_CASES, ids=[a[0] for a, _ in ENVELOPE_CASES])
+def test_every_subcommand_envelope(capsys, argv, input_keys):
+    code, env = run_json(capsys, argv + ["--json"])
+    assert code == 0
+    assert set(env) == ENVELOPE_KEYS
+    assert env["command"] == argv[0]
+    assert set(env["input"]) == input_keys
+    assert run([argv[0], "--help"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv", [["skh", "1 1 1", "--max-crossings", "2"], ["resolve", "1", "7"]], ids=["limit", "vertex"]
+)
+def test_json_error_goes_to_stderr_only(capsys, argv):
+    assert run(argv + ["--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_kh_json(capsys):
