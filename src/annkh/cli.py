@@ -27,10 +27,10 @@ import sys
 import time
 
 from .burau import burau_matrix, char_poly, laurent_det
-from .cube import DEFAULT_MAX_CROSSINGS, build_complex
+from .cube import DEFAULT_MAX_CROSSINGS, build_complex, generator_count
 from .diagram import closure_diagram
 from .garside import left_normal_form, words_equal
-from .homology import homology_full, homology_graded, poincare_polynomial, skh, total_dim
+from .homology import homology_full, homology_graded, poincare_polynomial, reduced_complex, total_dim
 from .invariants import (
     flype_pair,
     is_trivial,
@@ -62,14 +62,15 @@ def _word(args, env: dict) -> BraidWord:
     return w
 
 
-def _homology_table(env: dict, cx, dims: dict) -> list[str]:
+def _homology_table(env: dict, w: BraidWord, cx, dims: dict) -> list[str]:
     poly = poincare_polynomial(dims)
     env["dims"] = [[*degrees, d] for degrees, d in sorted(dims.items())]
     env["total"] = total_dim(dims)
     env["payload"] = {"poincare": poly}
+    # the cube is built from a reduced conjugate; stats describe the typed word
     env["stats"] = {
-        "generators": cx.total_generators,
-        "vertices": cx.num_vertices,
+        "generators": generator_count(closure_diagram(w)),
+        "vertices": 1 << len(w),
         "k_increase_components": cx.k_increase_components,
     }
     return [poly, f"total dimension: {env['total']}"]
@@ -77,16 +78,16 @@ def _homology_table(env: dict, cx, dims: dict) -> list[str]:
 
 def _cmd_skh(args, env):
     w = _word(args, env)
-    cx = build_complex(closure_diagram(w), max_crossings=args.max_crossings)
+    cx = reduced_complex(w, max_crossings=args.max_crossings)
     dims = {(i, j, k): d for (j, k, i), d in homology_graded(cx).items()}
-    return _homology_table(env, cx, dims), 0
+    return _homology_table(env, w, cx, dims), 0
 
 
 def _cmd_kh(args, env):
     w = _word(args, env)
-    cx = build_complex(closure_diagram(w), max_crossings=args.max_crossings)
+    cx = reduced_complex(w, max_crossings=args.max_crossings)
     dims = {(i, j): d for (j, i), d in homology_full(cx).items()}
-    return _homology_table(env, cx, dims), 0
+    return _homology_table(env, w, cx, dims), 0
 
 
 def _cmd_equal(args, env):
@@ -213,8 +214,11 @@ def _cmd_flype(args, env):
     ]
     code = 0
     if args.check:
-        dims1 = skh(first, max_crossings=args.max_crossings)
-        dims2 = skh(second, max_crossings=args.max_crossings)
+        # the check is about the two diagrams as written, so neither is reduced
+        dims1, dims2 = (
+            homology_graded(build_complex(closure_diagram(w), max_crossings=args.max_crossings))
+            for w in (first, second)
+        )
         same = dims1 == dims2
         payload["skh_equal"] = same
         env["verdict"] = "skh-equal" if same else "skh-unequal"

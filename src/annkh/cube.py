@@ -27,10 +27,18 @@ each boundary's blocks are packed from that list when it is first read.
 The cube is enumerated exhaustively, so the state count is exponential in
 the number of crossings and a hard limit (default 20) guards against
 runaway jobs.
+
+build_complex builds the diagram it is given, crossing for crossing. skh,
+kh and plamenevskaya hand it the closure of a cyclically reduced conjugate
+of their word (homology.reduced_complex), which can have far fewer
+crossings; generator_count gives the size of a diagram's cube by a transfer
+down the braid, without building it, so the size of the typed word's cube
+can still be reported.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -48,6 +56,7 @@ __all__ = [
     "plamenevskaya_generator",
     "AnnularComplex",
     "build_complex",
+    "generator_count",
 ]
 
 DEFAULT_MAX_CROSSINGS = 20
@@ -382,6 +391,49 @@ def build_complex(
 
     entries = np.concatenate(chunks, axis=1) if chunks else np.empty((4, 0), dtype=np.int32)
     return AnnularComplex(d, gkeys, gsizes, g_bid, g_pos, entries, m_list, ecnt_list)
+
+
+def generator_count(d: AnnularClosureDiagram) -> int:
+    """The generator count of the cube, the sum over resolutions of 2^circles.
+
+    Counted by a transfer down the braid, one crossing at a time, without
+    tracing a resolution. A partial state pairs the n top points (0..n-1)
+    and the n current bottom points (n..2n-1), and is weighted by 2 to the
+    number of circles it has closed. The braid-like smoothing keeps the
+    pairing; the cap-cup one joins the partners of the two bottom points
+    under the crossing (closing a circle if they were partners of each
+    other) and pairs those two points anew. The closure finally joins top
+    point p to bottom point n + p.
+    """
+    n = d.strands
+    states = {tuple(range(n, 2 * n)) + tuple(range(n)): 1}
+    for pos, _sign in d.crossings:
+        a, b = n + pos - 1, n + pos
+        nxt: defaultdict = defaultdict(int)
+        for pairing, weight in states.items():
+            nxt[pairing] += weight
+            if pairing[a] == b:
+                nxt[pairing] += 2 * weight
+            else:
+                joined = list(pairing)
+                pa, pb = pairing[a], pairing[b]
+                joined[pa], joined[pb], joined[a], joined[b] = pb, pa, b, a
+                nxt[tuple(joined)] += weight
+        states = nxt
+    total = 0
+    for pairing, weight in states.items():
+        seen = [False] * (2 * n)
+        circles = 0
+        for start in range(2 * n):
+            if not seen[start]:
+                circles += 1
+                x = start
+                while not seen[x]:
+                    y = pairing[x]
+                    seen[x] = seen[y] = True
+                    x = y - n if y >= n else y + n
+        total += weight << circles
+    return total
 
 
 def _assemble(bid, row, col, sizes, succ, key_list) -> dict:

@@ -68,18 +68,29 @@ class F2Matrix:
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
             return 0
-        return _eliminate(self.data.copy(), self.cols)
+        return len(_eliminate(self.data.copy(), self.cols))
 
     def rank_with_row(self, extra: np.ndarray) -> int:
         """Rank after appending one packed row."""
         stacked = np.vstack([self.data, extra[None, :]])
-        return _eliminate(stacked, self.cols)
+        return len(_eliminate(stacked, self.cols))
 
     def row_in_span(self, extra: np.ndarray) -> bool:
-        """Is the packed row in the row space of this matrix?"""
+        """Is the packed row in the row space of this matrix?
+
+        One elimination brings the rows to echelon form; the extra row is
+        reduced against them in pivot order and lies in the span exactly
+        when nothing is left.
+        """
         if not extra.any():
             return True
-        return self.rank_with_row(extra) == self.rank()
+        work = self.data.copy()
+        pivots = _eliminate(work, self.cols)
+        rest = extra.copy()
+        for row, col in zip(work, pivots):
+            if (rest[col >> 3] >> (col & 7)) & 1:
+                rest ^= row
+        return not rest.any()
 
     def compose_is_zero(self, other: "F2Matrix") -> bool:
         """Is the product self (R x M) times other (M x C) the zero matrix?"""
@@ -94,8 +105,14 @@ class F2Matrix:
         return True
 
 
-def _eliminate(work: np.ndarray, cols: int) -> int:
+def _eliminate(work: np.ndarray, cols: int) -> list[int]:
+    """Row-reduce work in place to echelon form; return its pivot columns.
+
+    Row t of the result starts at column pivots[t] and is zero at every
+    earlier pivot column, so the rank is the number of pivots.
+    """
     nrows = work.shape[0]
+    pivots: list[int] = []
     r = 0
     for col in range(cols):
         if r == nrows:
@@ -110,5 +127,6 @@ def _eliminate(work: np.ndarray, cols: int) -> int:
         below = live[1:] + r
         if below.size:
             work[below] ^= work[r]
+        pivots.append(col)
         r += 1
-    return r
+    return pivots

@@ -3,15 +3,20 @@
 Within one block chain  C^{i-1} -> C^i -> C^{i+1}  the homology dimension
 at i is dim C^i minus the ranks of the two adjacent matrices, so everything
 reduces to GF(2) rank computations on the packed blocks.
+
+skh, kh and the distinguished class are invariants of the braid's conjugacy
+class, so they are computed from the cube of a cyclically reduced conjugate
+(see reduced_complex); the crossing limit still applies to the word as typed.
 """
 
 from __future__ import annotations
 
-from .cube import DEFAULT_MAX_CROSSINGS, AnnularComplex, build_complex
-from .diagram import AnnularClosureDiagram, closure_diagram
+from .cube import DEFAULT_MAX_CROSSINGS, AnnularComplex, CrossingLimitError, build_complex
+from .diagram import closure_diagram
 from .words import BraidWord
 
 __all__ = [
+    "reduced_complex",
     "homology_graded",
     "homology_full",
     "skh",
@@ -19,6 +24,18 @@ __all__ = [
     "poincare_polynomial",
     "total_dim",
 ]
+
+
+def reduced_complex(w: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> AnnularComplex:
+    """The complex of the closure of w.cyclic_reduce(), a conjugate of w.
+
+    The crossing limit is applied to w as typed, so it does not depend on
+    how far the word reduces; build_complex checks its circle bound on the
+    diagram it builds.
+    """
+    if len(w) > max_crossings:
+        raise CrossingLimitError(len(w), max_crossings, w.strands)
+    return build_complex(closure_diagram(w.cyclic_reduce()), max_crossings=max_crossings)
 
 
 def _block_ranks(dims: dict, boundary: dict, pred) -> dict:
@@ -54,13 +71,13 @@ def skh(
     Keys follow the reporting order (homological, quantum, annular); the
     internal block keys use (j, k, i).
     """
-    cx = build_complex(closure_diagram(w), max_crossings=max_crossings)
+    cx = reduced_complex(w, max_crossings=max_crossings)
     return {(i, j, k): dim for (j, k, i), dim in homology_graded(cx).items()}
 
 
 def kh(w: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> dict[tuple[int, int], int]:
     """Ordinary Khovanov homology of the closure over GF(2), keyed by (i, j)."""
-    cx = build_complex(closure_diagram(w), max_crossings=max_crossings)
+    cx = reduced_complex(w, max_crossings=max_crossings)
     return {(i, j): dim for (j, i), dim in homology_full(cx).items()}
 
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cube import DEFAULT_MAX_CROSSINGS, build_complex, plamenevskaya_generator
-from .diagram import closure_diagram
+from .cube import DEFAULT_MAX_CROSSINGS, plamenevskaya_generator
 from .gf2 import pack_unit_row
-from .homology import skh
+from .homology import reduced_complex, skh
 from .words import BraidWord
 
 __all__ = [
@@ -114,11 +113,11 @@ def plamenevskaya(w: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> P
     The generator is the all-minus labeling of the braid-like resolution.
     It is checked to be a cycle, then tested for membership in the image
     of the incoming full boundary of its own quantum block; every other
-    block is irrelevant and skipped.
+    block is irrelevant and skipped. The class is a transverse invariant,
+    so it is computed on the cube of a reduced conjugate of w.
     """
-    d = closure_diagram(w)
-    cx = build_complex(d, max_crossings=max_crossings)
-    gen = plamenevskaya_generator(d)
+    cx = reduced_complex(w, max_crossings=max_crossings)
+    gen = plamenevskaya_generator(cx.diagram)
     j0 = w.writhe() - w.strands
     if (gen.i, gen.j) != (0, j0) or gen.k != -w.strands:
         raise AssertionError("distinguished generator landed in the wrong degree")

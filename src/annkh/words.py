@@ -171,6 +171,29 @@ class BraidWord:
                 stack.append(g)
         return BraidWord(self.strands, tuple(stack))
 
+    def cyclic_reduce(self) -> "BraidWord":
+        """A word for a conjugate of this braid with no cancellable pair left.
+
+        A letter g cancels against the next letter, read cyclically, that
+        does not commute with it (index distance below 2) whenever that
+        letter is -g. Each cancellation is a free cancellation after far
+        commutations, possibly after a cyclic rotation, so the strand
+        count, the writhe and the annular closure up to isotopy are
+        unchanged.
+        """
+        letters = list(self.letters)
+        p = 0
+        while p < len(letters):
+            g, n = letters[p], len(letters)
+            ahead = ((p + step) % n for step in range(1, n))
+            q = next((q for q in ahead if abs(abs(letters[q]) - abs(g)) < 2), p)
+            if letters[q] == -g:
+                del letters[max(p, q)], letters[min(p, q)]
+                p = 0
+            else:
+                p += 1
+        return BraidWord(self.strands, tuple(letters))
+
 
 _TOKEN = re.compile(r"([+-]?\d+)(?:\^([+-]?\d+))?\Z")
 

@@ -6,6 +6,9 @@ import pytest
 
 from annkh.burau import bigelow_kernel_word
 from annkh.cli import run
+from annkh.cube import build_complex
+from annkh.diagram import closure_diagram
+from annkh.words import parse_word
 
 ENVELOPE_KEYS = {"command", "input", "dims", "total", "verdict", "payload", "stats", "time_ms"}
 
@@ -166,6 +169,25 @@ def test_crossing_limit_exit_one(capsys):
     err = capsys.readouterr().err
     assert "2^21" in err
     assert run(["skh", "1^21", "--max-crossings", "3"]) == 1
+
+
+def test_crossing_limit_follows_the_typed_word(capsys):
+    # 22 letters that cancel to the empty word are still over the limit of 20
+    word = " ".join(["1 -1"] * 11)
+    for command in ("skh", "kh", "plam", "trivial"):
+        assert run([command, word]) == 1
+        assert "22 crossings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["skh", "kh"])
+def test_stats_describe_the_typed_word(capsys, command):
+    # the cube is built from the reduced conjugate "1 2 1"; stats are the typed word's
+    text = "2 1 -2 2 1 -1 2 1 -2"
+    typed = build_complex(closure_diagram(parse_word(text)))
+    code, env = run_json(capsys, [command, text, "--json"])
+    assert code == 0
+    assert env["stats"]["generators"] == typed.total_generators
+    assert env["stats"]["vertices"] == typed.num_vertices == 2**9
 
 
 def test_bad_input_exit_one(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from annkh.cube import (
@@ -5,6 +7,7 @@ from annkh.cube import (
     CrossingLimitError,
     build_complex,
     enhanced_generator,
+    generator_count,
     plamenevskaya_generator,
 )
 from annkh.diagram import closure_diagram
@@ -28,6 +31,16 @@ def test_crossing_limit():
     # and a tighter limit refuses smaller words
     with pytest.raises(CrossingLimitError):
         build_complex(closure_diagram(BraidWord(2, (1, 1))), max_crossings=1)
+
+
+def test_transfer_count_matches_the_cube():
+    rng = random.Random(30)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        alphabet = [g for g in range(1 - n, n) if g]
+        letters = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 9) if n > 1 else 0))
+        d = closure_diagram(BraidWord(n, letters))
+        assert generator_count(d) == build_complex(d).total_generators, (n, letters)
 
 
 def test_single_crossing_generators():

@@ -59,6 +59,28 @@ def test_row_in_span():
     assert m.row_in_span(np.zeros(1, dtype=np.uint8))
 
 
+def test_row_in_span_matches_rank_difference():
+    rng = random.Random(5)
+    answers = []
+    for _ in range(200):
+        rows, cols = rng.randint(0, 30), rng.randint(1, 40)
+        density = rng.choice((0.05, 0.2, 0.5))
+        dense = np.array(
+            [[rng.random() < density for _ in range(cols)] for _ in range(rows)], dtype=np.uint8
+        ).reshape(rows, cols)
+        m = F2Matrix.from_dense(dense)
+        extra = from_bits([rng.getrandbits(cols)], cols).data[0]
+        if rng.random() < 0.3:
+            # a sum of rows always lies in the span
+            extra = np.zeros_like(extra)
+            for r in range(rows):
+                if rng.random() < 0.5:
+                    extra ^= m.data[r]
+        answers.append(m.row_in_span(extra))
+        assert answers[-1] == (m.rank_with_row(extra) == m.rank())
+    assert 40 < sum(answers) < 160
+
+
 def test_row_is_zero():
     m = from_bits([0b00, 0b10], 2)
     assert m.row_is_zero(0)

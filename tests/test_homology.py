@@ -1,11 +1,13 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from naive_skh import naive_kh, naive_skh
+from naive_skh import naive_kh, naive_psi_nonzero, naive_skh
 
+from annkh.cube import CrossingLimitError
 from annkh.homology import kh, poincare_polynomial, skh, total_dim
-from annkh.invariants import skh_trivial
+from annkh.invariants import plamenevskaya, skh_trivial
 from annkh.words import BraidWord, parse_word
 
 
@@ -108,10 +110,10 @@ def test_total_dim():
 
 
 @st.composite
-def small_words(draw):
+def small_words(draw, max_len=8):
     n = draw(st.integers(2, 4))
     alphabet = [g for g in range(1 - n, n) if g != 0]
-    return BraidWord(n, tuple(draw(st.lists(st.sampled_from(alphabet), max_size=8))))
+    return BraidWord(n, tuple(draw(st.lists(st.sampled_from(alphabet), max_size=max_len))))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -122,3 +124,37 @@ def test_sl2_weight_symmetry(w):
     table = skh(w)
     for (i, j, k), dim in table.items():
         assert table.get((i, j - 2 * k, -k)) == dim
+
+
+@st.composite
+def padded_words(draw):
+    """A word of at most 6 letters conjugated by one letter, with a pair inserted.
+
+    The padded word has at most 10 letters, which keeps the naive oracle fast.
+    """
+    w = draw(small_words(max_len=6))
+    alphabet = [g for g in range(1 - w.strands, w.strands) if g != 0]
+    u = draw(st.sampled_from(alphabet))
+    g = draw(st.sampled_from(alphabet))
+    cut = draw(st.integers(0, len(w)))
+    letters = (u,) + w.letters[:cut] + (g, -g) + w.letters[cut:] + (-u,)
+    return BraidWord(w.strands, letters)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(padded_words())
+def test_reduced_conjugate_matches_naive_oracle_of_the_typed_word(w):
+    # the engine builds the cube of w.cyclic_reduce(); the oracle builds w
+    # as typed, sharing no code with the reduction
+    assert skh(w) == naive_skh(w.strands, w.letters)
+    assert kh(w) == naive_kh(w.strands, w.letters)
+    assert plamenevskaya(w).nonzero == naive_psi_nonzero(w.strands, w.letters)
+
+
+def test_crossing_limit_applies_to_the_typed_word():
+    # 22 letters that reduce to nothing are still refused at the default 20
+    w = BraidWord(2, (1, -1) * 11)
+    assert w.cyclic_reduce() == BraidWord(2, ())
+    for invariant in (skh, kh, plamenevskaya):
+        with pytest.raises(CrossingLimitError, match="22 crossings"):
+            invariant(w)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from annkh.words import BraidWord, Permutation, parse_word
@@ -106,3 +108,33 @@ def test_parse_word_errors():
 def test_as_text_roundtrip():
     w = BraidWord(4, (1, -3, 2, 2))
     assert parse_word(w.as_text(), strands=4) == w
+
+
+def test_cyclic_reduce_examples():
+    # far letters between a pair do not block it, neighbouring ones do
+    assert BraidWord(4, (1, 3, -1)).cyclic_reduce().letters == (3,)
+    assert BraidWord(4, (1, 3, -1, 2)).cyclic_reduce().letters == (3, 2)
+    assert BraidWord(3, (1, 2, -1, -2)).cyclic_reduce().letters == (1, 2, -1, -2)
+    # pairs that meet only across the end of the word cancel too
+    assert BraidWord(3, (1, 2, -1)).cyclic_reduce().letters == (2,)
+    assert BraidWord(3, (2, 1, 1, -2)).cyclic_reduce().letters == (1, 1)
+    assert BraidWord(2, (1, -1) * 11).cyclic_reduce() == BraidWord(2, ())
+    assert BraidWord(4, (2,)).cyclic_reduce() == BraidWord(4, (2,))
+
+
+def _cycle_type(w):
+    return sorted(len(c) for c in w.permutation().cycles())
+
+
+def test_cyclic_reduce_keeps_the_conjugacy_data():
+    rng = random.Random(61)
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        alphabet = [g for g in range(1 - n, n) if g]
+        w = BraidWord(n, tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 12))))
+        r = w.cyclic_reduce()
+        assert r.strands == w.strands
+        assert len(r) <= len(w.free_reduce()) <= len(w)
+        assert r.writhe() == w.writhe()
+        assert _cycle_type(r) == _cycle_type(w)
+        assert r.cyclic_reduce() == r
