@@ -27,10 +27,10 @@ import sys
 import time
 
 from .burau import burau_matrix, char_poly, laurent_det
-from .cube import DEFAULT_MAX_CROSSINGS, build_complex, generator_count
+from .cube import DEFAULT_MAX_CROSSINGS, generator_count
 from .diagram import closure_diagram
 from .garside import left_normal_form, words_equal
-from .homology import homology_full, homology_graded, poincare_polynomial, reduced_complex, total_dim
+from .homology import homology_full, homology_graded, poincare_polynomial, reduced_complex, skh, total_dim
 from .invariants import (
     flype_pair,
     is_trivial,
@@ -214,11 +214,8 @@ def _cmd_flype(args, env):
     ]
     code = 0
     if args.check:
-        # the check is about the two diagrams as written, so neither is reduced
-        dims1, dims2 = (
-            homology_graded(build_complex(closure_diagram(w), max_crossings=args.max_crossings))
-            for w in (first, second)
-        )
+        dims1 = skh(first, max_crossings=args.max_crossings)
+        dims2 = skh(second, max_crossings=args.max_crossings)
         same = dims1 == dims2
         payload["skh_equal"] = same
         env["verdict"] = "skh-equal" if same else "skh-unequal"
