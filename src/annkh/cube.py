@@ -22,18 +22,19 @@ the associated graded boundary whose homology is the annular invariant.
 
 Generators are indexed once, by graded block (j, k, i); a full block
 (j, i) is its graded blocks laid side by side in increasing k. One edge
-sweep with vectorized label arithmetic lists every boundary entry, and
-each boundary's blocks are packed from that list when it is first read.
+sweep with vectorized label arithmetic lists every boundary entry into
+columns sized in advance, sorted by source block, and each boundary's
+blocks are packed from that list when they are read.
 The cube is enumerated exhaustively, so the state count is exponential in
 the number of crossings and a hard limit (default 20) guards against
 runaway jobs.
 
-build_complex builds the diagram it is given, crossing for crossing. skh,
-kh and plamenevskaya hand it the closure of a cyclically reduced conjugate
-of their word (homology.reduced_complex), which can have far fewer
-crossings; generator_count gives the size of a diagram's cube by a transfer
-down the braid, without building it, so the size of the typed word's cube
-can still be reported.
+build_complex builds the diagram it is given, crossing for crossing. skh
+and kh hand it the closure of a cyclically reduced conjugate of their word
+(homology.reduced_complex), which can have far fewer crossings;
+plamenevskaya hands it the word as typed. generator_count gives the size
+of a diagram's cube by a transfer down the braid, without building it, so
+the size of the typed word's cube can still be reported.
 """
 
 from __future__ import annotations
@@ -143,8 +144,10 @@ class AnnularComplex:
     Generators are indexed once, by graded block. A full block (j, i) is
     its graded blocks (j, k, i) laid side by side in increasing k, so each
     graded block has a full block id and a column offset there. Both
-    boundaries are packed from one shared entry list when first read: a
-    caller that reads one never allocates the other.
+    boundaries are packed from one shared entry list, sorted by source
+    block, when first read: a caller that reads one never allocates the
+    other, and graded_blocks / full_blocks pack one block at a time for a
+    caller that needs each block only once.
     """
 
     def __init__(
@@ -154,7 +157,7 @@ class AnnularComplex:
         gsizes: list[int],
         g_bid: list[np.ndarray],
         g_pos: list[np.ndarray],
-        entries: np.ndarray,
+        entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         circle_counts: list[int],
         essential_counts: list[int],
     ):
@@ -164,62 +167,88 @@ class AnnularComplex:
         self.num_vertices = 1 << diagram.num_crossings
         self._g_bid = g_bid
         self._g_pos = g_pos
-        self._entries = entries
+        # entries arrive sorted by source block; the source column is then
+        # redundant: the entries of graded block g are [bounds[g], bounds[g + 1])
+        src, row, dst, col = entries
+        self._bounds = np.searchsorted(src, np.arange(len(gsizes) + 1)).tolist()
+        self._entries = row, dst, col
         self._circle_counts = circle_counts
         self._essential_counts = essential_counts
 
         self._gkey_list = list(gkeys)
         self._gsizes = gsizes
         self._gsucc = np.array(
-            [gkeys.get((j, k, i + 1), -1) for (j, k, i) in gkeys], dtype=np.int64
+            [gkeys.get((j, k, i + 1), -1) for (j, k, i) in gkeys], dtype=np.int32
         )
         self.graded_dims = dict(zip(self._gkey_list, gsizes))
-        block_k = np.array([k for _j, k, _i in self._gkey_list], dtype=np.int64)
+        block_k = np.array([k for _j, k, _i in self._gkey_list], dtype=np.int16)
 
         fkeys: dict[tuple[int, int], int] = {}
         for j, _k, i in self._gkey_list:
             fkeys.setdefault((j, i), len(fkeys))
         self._fkey_list = list(fkeys)
         self._fsizes = [0] * len(fkeys)
-        self._fsucc = np.array([fkeys.get((j, i + 1), -1) for (j, i) in fkeys], dtype=np.int64)
-        self._block_fid = np.empty(len(gsizes), dtype=np.int64)
+        self._fsucc = np.array([fkeys.get((j, i + 1), -1) for (j, i) in fkeys], dtype=np.int32)
+        self._fmembers: list[list[int]] = [[] for _ in fkeys]
+        self._block_fid = np.empty(len(gsizes), dtype=np.int32)
         self._block_offset = np.empty(len(gsizes), dtype=np.int64)
-        for gid in np.argsort(block_k):
+        for gid in np.argsort(block_k, kind="stable"):
             j, _k, i = self._gkey_list[gid]
             fid = fkeys[(j, i)]
+            self._fmembers[fid].append(int(gid))
             self._block_fid[gid] = fid
             self._block_offset[gid] = self._fsizes[fid]
             self._fsizes[fid] += gsizes[gid]
         self.full_dims = dict(zip(self._fkey_list, self._fsizes))
 
         # safety checks over every boundary entry, run on every build
-        src, _, dst, _ = entries
-        self.k_increase_components = int(np.count_nonzero(block_k[dst] > block_k[src]))
-        if not np.array_equal(self._block_fid[dst], self._fsucc[self._block_fid[src]]):
+        per_block = np.diff(self._bounds)
+        src_k = np.repeat(block_k, per_block)
+        self.k_increase_components = int(np.count_nonzero(block_k[dst] > src_k))
+        src_next = np.repeat(self._fsucc[self._block_fid], per_block)
+        if not np.array_equal(self._block_fid[dst], src_next):
             raise AssertionError("a boundary component left its quantum block")
 
     @cached_property
     def graded_boundary(self) -> dict:
         """The k-preserving boundary blocks, keyed by (j, k, i)."""
-        src, row, dst, col = self._entries
-        keep = dst == self._gsucc[src]
-        return _assemble(
-            src[keep], row[keep], col[keep], self._gsizes, self._gsucc, self._gkey_list
-        )
+        return dict(self.graded_blocks())
 
     @cached_property
     def full_boundary(self) -> dict:
         """The whole boundary's blocks, keyed by (j, i)."""
-        src, row, dst, col = self._entries
-        offset = self._block_offset
-        return _assemble(
-            self._block_fid[src],
-            offset[src] + row,
-            offset[dst] + col,
-            self._fsizes,
-            self._fsucc,
-            self._fkey_list,
-        )
+        return dict(self.full_blocks())
+
+    def graded_blocks(self):
+        """Yield graded_boundary's items, packing each block when reached."""
+        if "graded_boundary" in self.__dict__:
+            yield from self.graded_boundary.items()
+            return
+        row, dst, col = self._entries
+        bounds = self._bounds
+        for gid, key in enumerate(self._gkey_list):
+            s, e, succ = bounds[gid], bounds[gid + 1], int(self._gsucc[gid])
+            keep = dst[s:e] == succ
+            if succ >= 0 and keep.any():
+                rows, cols = self._gsizes[gid], self._gsizes[succ]
+                yield key, F2Matrix.from_entries(rows, cols, row[s:e][keep], col[s:e][keep])
+
+    def full_blocks(self):
+        """Yield full_boundary's items, packing each block when reached."""
+        if "full_boundary" in self.__dict__:
+            yield from self.full_boundary.items()
+            return
+        row, dst, col = self._entries
+        bounds, offset = self._bounds, self._block_offset
+        for fid, key in enumerate(self._fkey_list):
+            spans = [(g, bounds[g], bounds[g + 1]) for g in self._fmembers[fid]]
+            spans = [(g, s, e) for g, s, e in spans if e > s]
+            if not spans:
+                continue
+            rows = np.concatenate([offset[g] + row[s:e] for g, s, e in spans])
+            cols = np.concatenate([offset[dst[s:e]] + col[s:e] for _g, s, e in spans])
+            shape = self._fsizes[fid], self._fsizes[int(self._fsucc[fid])]
+            yield key, F2Matrix.from_entries(*shape, rows, cols)
 
     def full_position(self, vertex: int, labels: int) -> tuple[tuple[int, int], int]:
         """Locate a generator in its full block: ((j, i), column index)."""
@@ -339,8 +368,20 @@ def build_complex(
         g_pos.append(gp)
 
     # edge sweep: vectorize the Frobenius map over all labelings at once,
-    # emitting (source block, source position, target block, target position)
-    chunks: list[np.ndarray] = []
+    # writing (source block, source position, target block, target position)
+    # into preallocated columns. A merge maps the three quarters of the
+    # labelings that are not minus on both merged circles, a split maps each
+    # labeling once or (plus on the split circle) twice, so the entry count
+    # is known before the sweep.
+    m_arr = np.array(m_list, dtype=np.int64)
+    vertices = np.arange(nv)
+    total = 0
+    for t in range(c):
+        below = vertices[(vertices >> t) & 1 == 0]
+        mv, mu = m_arr[below], m_arr[below | (1 << t)]
+        total += int(np.where(mu < mv, (3 << mv) >> 2, (3 << mv) >> 1).sum())
+    entries = [np.empty(total, dtype=np.int32) for _ in range(4)]
+    filled = 0
 
     for v in range(nv):
         if progress is not None and (v & 511) == 0:
@@ -385,12 +426,24 @@ def build_complex(
                 pos_src = labels[ispos]
                 src = np.concatenate([labels[~ispos], pos_src, pos_src])
                 dst = np.concatenate([neg_dst, pos_base | (1 << d1), pos_base | (1 << d2)])
-            chunks.append(np.stack((g_bid[v][src], g_pos[v][src], g_bid[u][dst], g_pos[u][dst])))
+            span = slice(filled, filled + src.size)
+            entries[0][span] = g_bid[v][src]
+            entries[1][span] = g_pos[v][src]
+            entries[2][span] = g_bid[u][dst]
+            entries[3][span] = g_pos[u][dst]
+            filled += src.size
     if progress is not None:
         progress(nv, nv)
+    if filled != total:
+        raise AssertionError("the edge sweep wrote a different number of entries than counted")
 
-    entries = np.concatenate(chunks, axis=1) if chunks else np.empty((4, 0), dtype=np.int32)
-    return AnnularComplex(d, gkeys, gsizes, g_bid, g_pos, entries, m_list, ecnt_list)
+    # sort by source block one column at a time, so one column is held twice;
+    # the order within a block is immaterial, as packing ORs the entries
+    order = np.argsort(entries[0])
+    for idx in range(4):
+        entries[idx] = entries[idx][order]
+    del order
+    return AnnularComplex(d, gkeys, gsizes, g_bid, g_pos, tuple(entries), m_list, ecnt_list)
 
 
 def generator_count(d: AnnularClosureDiagram) -> int:
@@ -434,21 +487,3 @@ def generator_count(d: AnnularClosureDiagram) -> int:
                     x = y - n if y >= n else y + n
         total += weight << circles
     return total
-
-
-def _assemble(bid, row, col, sizes, succ, key_list) -> dict:
-    """Group coordinate entries by block and pack each block's matrix."""
-    out: dict = {}
-    if bid.size == 0:
-        return out
-    order = np.argsort(bid, kind="stable")
-    bid, row, col = bid[order], row[order], col[order]
-    boundaries = np.flatnonzero(np.diff(bid)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [bid.size]])
-    for s, e in zip(starts, ends):
-        b = int(bid[s])
-        rows = sizes[b]
-        cols = sizes[int(succ[b])]
-        out[key_list[b]] = F2Matrix.from_entries(rows, cols, row[s:e], col[s:e])
-    return out

@@ -4,9 +4,11 @@ Within one block chain  C^{i-1} -> C^i -> C^{i+1}  the homology dimension
 at i is dim C^i minus the ranks of the two adjacent matrices, so everything
 reduces to GF(2) rank computations on the packed blocks.
 
-skh, kh and the distinguished class are invariants of the braid's conjugacy
-class, so they are computed from the cube of a cyclically reduced conjugate
-(see reduced_complex); the crossing limit still applies to the word as typed.
+skh and kh are invariants of the braid's conjugacy class, so they are
+computed from the cube of a cyclically reduced conjugate (see
+reduced_complex); the crossing limit still applies to the word as typed.
+Each boundary block is packed, ranked and dropped in turn, so only one
+block is held at a time.
 """
 
 from __future__ import annotations
@@ -38,11 +40,13 @@ def reduced_complex(w: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) ->
     return build_complex(closure_diagram(w.cyclic_reduce()), max_crossings=max_crossings)
 
 
-def _block_ranks(dims: dict, boundary: dict, pred) -> dict:
+def _block_ranks(dims: dict, blocks, pred) -> dict:
+    # blocks are (key, matrix) pairs; each is dropped once ranked
     ranks = {}
-    for key, mat in boundary.items():
+    for key, mat in blocks:
         if mat.rows and mat.cols:
             ranks[key] = mat.rank()
+        del mat
     out = {}
     for key, dim in dims.items():
         h = dim - ranks.get(key, 0) - ranks.get(pred(key), 0)
@@ -54,13 +58,13 @@ def _block_ranks(dims: dict, boundary: dict, pred) -> dict:
 def homology_graded(cx: AnnularComplex) -> dict[tuple[int, int, int], int]:
     """Annular homology dimensions keyed by (j, k, i), zeros omitted."""
     return _block_ranks(
-        cx.graded_dims, cx.graded_boundary, lambda key: (key[0], key[1], key[2] - 1)
+        cx.graded_dims, cx.graded_blocks(), lambda key: (key[0], key[1], key[2] - 1)
     )
 
 
 def homology_full(cx: AnnularComplex) -> dict[tuple[int, int], int]:
     """Ordinary Khovanov homology dimensions keyed by (j, i), zeros omitted."""
-    return _block_ranks(cx.full_dims, cx.full_boundary, lambda key: (key[0], key[1] - 1))
+    return _block_ranks(cx.full_dims, cx.full_blocks(), lambda key: (key[0], key[1] - 1))
 
 
 def skh(

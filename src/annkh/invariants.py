@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cube import DEFAULT_MAX_CROSSINGS, plamenevskaya_generator
+from .cube import DEFAULT_MAX_CROSSINGS, build_complex, plamenevskaya_generator
+from .diagram import closure_diagram
 from .gf2 import pack_unit_row
-from .homology import reduced_complex, skh
+from .homology import skh
 from .words import BraidWord
 
 __all__ = [
@@ -113,11 +114,13 @@ def plamenevskaya(w: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> P
     The generator is the all-minus labeling of the braid-like resolution.
     It is checked to be a cycle, then tested for membership in the image
     of the incoming full boundary of its own quantum block; every other
-    block is irrelevant and skipped. The class is a transverse invariant,
-    so it is computed on the cube of a reduced conjugate of w.
+    block is irrelevant and skipped. The cube is that of w as typed: the
+    class is a transverse invariant and a reduced conjugate would give the
+    same answer, but the reduction is not applied here yet (see ROADMAP).
     """
-    cx = reduced_complex(w, max_crossings=max_crossings)
-    gen = plamenevskaya_generator(cx.diagram)
+    d = closure_diagram(w)
+    cx = build_complex(d, max_crossings=max_crossings)
+    gen = plamenevskaya_generator(d)
     j0 = w.writhe() - w.strands
     if (gen.i, gen.j) != (0, j0) or gen.k != -w.strands:
         raise AssertionError("distinguished generator landed in the wrong degree")

@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -159,3 +160,22 @@ def test_each_caller_packs_only_what_it_reads(monkeypatch):
     cx = cx_of("1 -2 1 -2", strands=3)
     homology_full(cx)
     assert len(calls) == len(cx.full_boundary) > 0
+
+
+def test_homology_holds_one_packed_block_at_a_time(monkeypatch):
+    # each block is ranked and dropped before the next one is packed
+    packed = []
+    held = []
+    original = F2Matrix.from_entries
+
+    def tracking(*args):
+        held.append(sum(ref() is not None for ref in packed))
+        mat = original(*args)
+        packed.append(weakref.ref(mat.data))
+        return mat
+
+    monkeypatch.setattr(F2Matrix, "from_entries", staticmethod(tracking))
+    cx = cx_of("1 -2 1 -2 1", strands=3)
+    homology_graded(cx)
+    homology_full(cx)
+    assert len(held) > 4 and max(held) == 0
