@@ -29,12 +29,17 @@ The cube is enumerated exhaustively, so the state count is exponential in
 the number of crossings and a hard limit (default 20) guards against
 runaway jobs.
 
-build_complex builds the diagram it is given, crossing for crossing. skh
-and kh hand it the closure of a cyclically reduced conjugate of their word
-(homology.reduced_complex), which can have far fewer crossings;
-plamenevskaya hands it the word as typed. generator_count gives the size
-of a diagram's cube by a transfer down the braid, without building it, so
-the size of the typed word's cube can still be reported.
+build_complex builds the diagram it is given, crossing for crossing, and
+either the whole cube or a slice of it: some homological degrees at one
+quantum degree. Every boundary component preserves j and raises i by
+one, so a slice's blocks are exactly the whole cube's blocks at the same
+keys, except that its top degree has no outgoing boundary. skh and kh
+hand it the closure of a cyclically reduced conjugate of their word
+(homology.reduced_complex), which can have far fewer crossings, and
+build the whole cube; plamenevskaya hands it the word as typed and builds
+the slice i in {-1, 0, 1} at j = writhe - n. generator_count gives the
+size of a diagram's cube by a transfer down the braid, without building
+it, so the size of the typed word's cube can still be reported.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from itertools import combinations
+from math import comb
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -139,9 +146,13 @@ class AnnularComplex:
     key maps the (j, k, i) chain block to (j, k, i+1) and a missing matrix
     is the zero map. full_dims / full_boundary are the same thing for the
     full boundary, keyed by (j, i). k_increase_components counts boundary
-    components that raised k; it must be zero.
+    components that raised k; it must be zero. num_vertices,
+    total_generators, the dims and both boundaries describe what was
+    built: the whole cube, or the slice that build_complex was asked for.
 
-    Generators are indexed once, by graded block. A full block (j, i) is
+    Generators are indexed once, by graded block: g_bid / g_pos give each
+    labeling's block and position, per built vertex, listed in the order
+    that slot maps a vertex to. A full block (j, i) is
     its graded blocks (j, k, i) laid side by side in increasing k, so each
     graded block has a full block id and a column offset there. Both
     boundaries are packed from one shared entry list, sorted by source
@@ -155,16 +166,16 @@ class AnnularComplex:
         diagram: AnnularClosureDiagram,
         gkeys: dict,
         gsizes: list[int],
+        slot: dict[int, int] | range,
         g_bid: list[np.ndarray],
         g_pos: list[np.ndarray],
         entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        circle_counts: list[int],
-        essential_counts: list[int],
     ):
         self.diagram = diagram
         self.strands = diagram.strands
-        self.total_generators = sum(1 << m for m in circle_counts)
-        self.num_vertices = 1 << diagram.num_crossings
+        self.total_generators = sum(gsizes)
+        self.num_vertices = len(slot)
+        self._slot = slot
         self._g_bid = g_bid
         self._g_pos = g_pos
         # entries arrive sorted by source block; the source column is then
@@ -172,8 +183,6 @@ class AnnularComplex:
         src, row, dst, col = entries
         self._bounds = np.searchsorted(src, np.arange(len(gsizes) + 1)).tolist()
         self._entries = row, dst, col
-        self._circle_counts = circle_counts
-        self._essential_counts = essential_counts
 
         self._gkey_list = list(gkeys)
         self._gsizes = gsizes
@@ -204,6 +213,8 @@ class AnnularComplex:
         # safety checks over every boundary entry, run on every build
         per_block = np.diff(self._bounds)
         src_k = np.repeat(block_k, per_block)
+        if dst.size and dst.min() < 0:
+            raise AssertionError("a boundary component left the slice")
         self.k_increase_components = int(np.count_nonzero(block_k[dst] > src_k))
         src_next = np.repeat(self._fsucc[self._block_fid], per_block)
         if not np.array_equal(self._block_fid[dst], src_next):
@@ -252,8 +263,9 @@ class AnnularComplex:
 
     def full_position(self, vertex: int, labels: int) -> tuple[tuple[int, int], int]:
         """Locate a generator in its full block: ((j, i), column index)."""
-        gid = int(self._g_bid[vertex][labels])
-        pos = int(self._block_offset[gid]) + int(self._g_pos[vertex][labels])
+        s = self._slot[vertex]
+        gid = int(self._g_bid[s][labels])
+        pos = int(self._block_offset[gid]) + int(self._g_pos[s][labels])
         return self._fkey_list[self._block_fid[gid]], pos
 
     def d_squared_is_zero(self, mode: str = "graded") -> bool:
@@ -278,20 +290,25 @@ class AnnularComplex:
         Empirically this is 1 (the distinguished all-minus braid-like
         state); callers should check rather than assume.
         """
-        n = self.strands
-        total = 0
-        for m, e in zip(self._circle_counts, self._essential_counts):
-            if e == n:
-                total += 1 << (m - n)
-        return total
+        return sum(dim for (_j, k, _i), dim in self.graded_dims.items() if k == -self.strands)
 
 
 def build_complex(
     d: AnnularClosureDiagram,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
     progress: Callable[[int, int], None] | None = None,
+    *,
+    degrees: Iterable[int] | None = None,
+    quantum: int | None = None,
 ) -> AnnularComplex:
     """Enumerate the cube of resolutions and list every boundary entry.
+
+    degrees (homological degrees i) and quantum (one quantum degree j)
+    restrict the build to a slice; None, the default, keeps the whole
+    cube. A slice traces only the vertices with i in degrees, indexes only
+    their labelings with j = quantum, and sweeps only the edges between
+    two of those vertices. Its blocks are those of the whole cube at the
+    same keys, except that the top degree has no outgoing boundary.
 
     progress, when given, is called as progress(vertices_processed,
     total_vertices) at a coarse cadence during the edge sweep.
@@ -300,101 +317,121 @@ def build_complex(
     n = d.strands
     if c > max_crossings:
         raise CrossingLimitError(c, max_crossings, n)
-    nv = 1 << c
     n_plus, n_minus = d.n_plus, d.n_minus
+    # vertices are built in increasing order, so a block lists its
+    # generators in the same order in the whole cube and in any slice
+    ones = set(range(c + 1))
+    if degrees is None:
+        vertices = slot = range(1 << c)  # each vertex is its own slot
+    else:
+        ones &= {i + n_minus for i in degrees}
+        vertices = sorted(
+            sum(1 << t for t in chosen) for r in ones for chosen in combinations(range(c), r)
+        )
+        slot = {v: s for s, v in enumerate(vertices)}
 
-    # per-vertex resolution data
+    # per-vertex resolution data, and the labelings built there indexed
+    # into graded blocks (j, k, i); labels outside the slice get block -1.
+    # Lists are indexed by the vertex's slot in vertices.
     stc_list: list[bytearray] = []
     min_list: list[tuple[int, ...]] = []
     m_list: list[int] = []
-    ecnt_list: list[int] = []
-    emask_list: list[int] = []
-    for v in range(nv):
-        stc, windings, min_sites = d._trace(v)
-        stc_list.append(stc)
-        min_list.append(min_sites)
-        m_list.append(len(windings))
-        emask = 0
-        for ci, w in enumerate(windings):
-            if w != 0:
-                emask |= 1 << ci
-        emask_list.append(emask)
-        ecnt_list.append(emask.bit_count())
-        if len(windings) > 26:
-            raise CrossingLimitError(c, max_crossings, n, circles=len(windings))
-
-    # per-vertex label indexing into graded blocks (j, k, i)
+    labels_list: list[np.ndarray] = []
+    out_counts: list[tuple[int, int]] = []
     gkeys: dict[tuple[int, int, int], int] = {}
     gsizes: list[int] = []
     g_bid: list[np.ndarray] = []
     g_pos: list[np.ndarray] = []
-    ranges: dict[int, np.ndarray] = {}
+    label_sets: dict[tuple[int, int | None], np.ndarray] = {}
     kspan = 2 * n + 2
 
-    for v in range(nv):
-        m = m_list[v]
-        emask, ecnt = emask_list[v], ecnt_list[v]
+    for v in vertices:
+        stc, windings, min_sites = d._trace(v)
+        m = len(windings)
+        if m > 26:
+            raise CrossingLimitError(c, max_crossings, n, circles=m)
+        emask = 0
+        for ci, w in enumerate(windings):
+            if w != 0:
+                emask |= 1 << ci
+        ecnt = emask.bit_count()
         r = v.bit_count()
         i = r - n_minus
         jbase = r + n_plus - 2 * n_minus
-        labels = ranges.get(m)
+        plus = None
+        if quantum is not None:
+            # j = 2 * plus - m + jbase; no labeling reaches an odd difference
+            twice = quantum - jbase + m
+            plus = twice >> 1 if twice % 2 == 0 else -1
+        labels = label_sets.get((m, plus))
         if labels is None:
-            labels = ranges[m] = np.arange(1 << m, dtype=np.int64)
-        plus = np.bitwise_count(labels).astype(np.int64)
-        eplus = np.bitwise_count(labels & emask).astype(np.int64)
-        jj = 2 * plus - m + jbase
-        kk = 2 * eplus - ecnt
+            labels = np.arange(1 << m, dtype=np.int64)
+            if plus is not None:
+                labels = labels[np.bitwise_count(labels) == plus]
+            label_sets[(m, plus)] = labels
+        gb = np.full(1 << m, -1, dtype=np.int32)
+        gp = np.empty(1 << m, dtype=np.int32)
+        stc_list.append(stc)
+        min_list.append(min_sites)
+        m_list.append(m)
+        labels_list.append(labels)
+        out_counts.append(_entry_counts(m, plus))
+        g_bid.append(gb)
+        g_pos.append(gp)
+        if not labels.size:
+            continue
+        jj = 2 * np.bitwise_count(labels).astype(np.int64) - m + jbase
+        kk = 2 * np.bitwise_count(labels & emask).astype(np.int64) - ecnt
         code = jj * kspan + kk
         order = np.argsort(code, kind="stable")
+        members = labels[order]
         sorted_code = code[order]
         new_group = np.empty(sorted_code.size, dtype=bool)
         new_group[0] = True
         new_group[1:] = sorted_code[1:] != sorted_code[:-1]
         starts = np.flatnonzero(new_group)
         ends = np.append(starts[1:], sorted_code.size)
-        gb = np.empty(1 << m, dtype=np.int32)
-        gp = np.empty(1 << m, dtype=np.int32)
         for s, e in zip(starts, ends):
-            sel = order[s:e]
-            key = (int(jj[sel[0]]), int(kk[sel[0]]), i)
+            key = (int(jj[order[s]]), int(kk[order[s]]), i)
             gid = gkeys.get(key)
             if gid is None:
                 gid = gkeys[key] = len(gsizes)
                 gsizes.append(0)
-            gb[sel] = gid
-            gp[sel] = gsizes[gid] + np.arange(e - s, dtype=np.int32)
+            gb[members[s:e]] = gid
+            gp[members[s:e]] = gsizes[gid] + np.arange(e - s, dtype=np.int32)
             gsizes[gid] += int(e - s)
-        g_bid.append(gb)
-        g_pos.append(gp)
 
-    # edge sweep: vectorize the Frobenius map over all labelings at once,
-    # writing (source block, source position, target block, target position)
-    # into preallocated columns. A merge maps the three quarters of the
-    # labelings that are not minus on both merged circles, a split maps each
-    # labeling once or (plus on the split circle) twice, so the entry count
-    # is known before the sweep.
+    # edge sweep over the edges between built vertices: vectorize the
+    # Frobenius map over the built labelings at once, writing (source block,
+    # source position, target block, target position) into columns sized in
+    # advance from each source vertex's merge and split entry counts.
+    va = np.asarray(vertices, dtype=np.int64)
     m_arr = np.array(m_list, dtype=np.int64)
-    vertices = np.arange(nv)
+    merges, splits = np.array(out_counts, dtype=np.int64).reshape(-1, 2).T
+    swept = np.isin(np.bitwise_count(va) + 1, list(ones))  # its upper neighbours are built
     total = 0
     for t in range(c):
-        below = vertices[(vertices >> t) & 1 == 0]
-        mv, mu = m_arr[below], m_arr[below | (1 << t)]
-        total += int(np.where(mu < mv, (3 << mv) >> 2, (3 << mv) >> 1).sum())
+        src = np.flatnonzero(swept & ((va >> t) & 1 == 0))
+        dst = np.searchsorted(va, va[src] | (1 << t))
+        total += int(np.where(m_arr[dst] < m_arr[src], merges[src], splits[src]).sum())
     entries = [np.empty(total, dtype=np.int32) for _ in range(4)]
     filled = 0
 
-    for v in range(nv):
-        if progress is not None and (v & 511) == 0:
-            progress(v, nv)
-        mv = m_list[v]
-        stcv = stc_list[v]
-        mins = min_list[v]
-        labels = ranges[mv]
+    nv = len(vertices)
+    for sv, v in enumerate(vertices):
+        if progress is not None and (sv & 511) == 0:
+            progress(sv, nv)
+        labels = labels_list[sv]
+        if not labels.size or not swept[sv]:
+            continue
+        mv = m_list[sv]
+        stcv = stc_list[sv]
+        mins = min_list[sv]
         for t in range(c):
             if (v >> t) & 1:
                 continue
-            u = v | (1 << t)
-            stcu = stc_list[u]
+            su = slot[v | (1 << t)]
+            stcu = stc_list[su]
             sites = d.crossing_sites(t)
             affected_src = {stcv[s] for s in sites}
             affected_dst = {stcu[s] for s in sites}
@@ -427,10 +464,10 @@ def build_complex(
                 src = np.concatenate([labels[~ispos], pos_src, pos_src])
                 dst = np.concatenate([neg_dst, pos_base | (1 << d1), pos_base | (1 << d2)])
             span = slice(filled, filled + src.size)
-            entries[0][span] = g_bid[v][src]
-            entries[1][span] = g_pos[v][src]
-            entries[2][span] = g_bid[u][dst]
-            entries[3][span] = g_pos[u][dst]
+            entries[0][span] = g_bid[sv][src]
+            entries[1][span] = g_pos[sv][src]
+            entries[2][span] = g_bid[su][dst]
+            entries[3][span] = g_pos[su][dst]
             filled += src.size
     if progress is not None:
         progress(nv, nv)
@@ -443,7 +480,23 @@ def build_complex(
     for idx in range(4):
         entries[idx] = entries[idx][order]
     del order
-    return AnnularComplex(d, gkeys, gsizes, g_bid, g_pos, tuple(entries), m_list, ecnt_list)
+    return AnnularComplex(d, gkeys, gsizes, slot, g_bid, g_pos, tuple(entries))
+
+
+def _entry_counts(m: int, plus: int | None) -> tuple[int, int]:
+    """Boundary entries of a merge and of a split out of a vertex with m circles.
+
+    plus is the plus count of the labelings built there, None for all.
+    """
+    if plus is None:
+        return (3 << m) >> 2, (3 << m) >> 1
+    if not 0 <= plus <= m:
+        return 0, 0
+    # a merge drops the labelings minus on both merged circles, a split
+    # maps those plus on the split circle twice
+    both_minus = comb(m - 2, plus) if m >= 2 else 0
+    plus_on_one = comb(m - 1, plus - 1) if plus else 0
+    return comb(m, plus) - both_minus, comb(m, plus) + plus_on_one
 
 
 def generator_count(d: AnnularClosureDiagram) -> int:

@@ -113,15 +113,17 @@ def plamenevskaya(w: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> P
 
     The generator is the all-minus labeling of the braid-like resolution.
     It is checked to be a cycle, then tested for membership in the image
-    of the incoming full boundary of its own quantum block; every other
-    block is irrelevant and skipped. The cube is that of w as typed: the
+    of the incoming full boundary of its own quantum block. Only those two
+    full blocks, (j0, -1) -> (j0, 0) -> (j0, 1) with j0 = writhe - n, are
+    read, so only that slice of the cube is built: homological degrees
+    -1, 0 and 1 at quantum degree j0. The cube is that of w as typed: the
     class is a transverse invariant and a reduced conjugate would give the
     same answer, but the reduction is not applied here yet (see ROADMAP).
     """
     d = closure_diagram(w)
-    cx = build_complex(d, max_crossings=max_crossings)
-    gen = plamenevskaya_generator(d)
     j0 = w.writhe() - w.strands
+    cx = build_complex(d, max_crossings=max_crossings, degrees=range(-1, 2), quantum=j0)
+    gen = plamenevskaya_generator(d)
     if (gen.i, gen.j) != (0, j0) or gen.k != -w.strands:
         raise AssertionError("distinguished generator landed in the wrong degree")
     key, pos = cx.full_position(gen.vertex, gen.labels)

@@ -1,6 +1,7 @@
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from annkh.cube import (
@@ -179,3 +180,69 @@ def test_homology_holds_one_packed_block_at_a_time(monkeypatch):
     homology_graded(cx)
     homology_full(cx)
     assert len(held) > 4 and max(held) == 0
+
+
+def _same_blocks(part, whole):
+    assert part.keys() <= whole.keys()
+    for key, mat in part.items():
+        other = whole[key]
+        assert (mat.rows, mat.cols) == (other.rows, other.cols), key
+        assert np.array_equal(mat.data, other.data), key
+
+
+def _check_slice(d, degrees, quantum, whole=None):
+    whole = whole or build_complex(d)
+    part = build_complex(d, degrees=degrees, quantum=quantum)
+    inside = lambda key: key[0] == quantum and key[-1] in degrees
+    built = lambda key: inside(key) and key[-1] + 1 in degrees
+    assert part.graded_dims == {k: v for k, v in whole.graded_dims.items() if inside(k)}
+    assert part.full_dims == {k: v for k, v in whole.full_dims.items() if inside(k)}
+    assert part.total_generators == sum(part.graded_dims.values())
+    assert part.num_vertices == sum(
+        1 for v in range(1 << d.num_crossings) if v.bit_count() - d.n_minus in degrees
+    )
+    assert part.k_increase_components == 0
+    assert set(part.graded_boundary) == {k for k in whole.graded_boundary if built(k)}
+    assert set(part.full_boundary) == {k for k in whole.full_boundary if built(k)}
+    _same_blocks(part.graded_boundary, whole.graded_boundary)
+    _same_blocks(part.full_boundary, whole.full_boundary)
+    return part
+
+
+def test_slice_equals_whole_cube():
+    rng = random.Random(8)
+    for trial in range(120):
+        n = rng.randint(1, 4)
+        alphabet = [g for g in range(1 - n, n) if g]
+        size = rng.randint(0, 8) if n > 1 else 0
+        if trial % 6 == 0:  # n_minus = 0: degree -1 has no vertex
+            alphabet = [g for g in alphabet if g > 0]
+        elif trial % 6 == 1:  # n_minus = c: degree +1 has no vertex
+            alphabet = [g for g in alphabet if g < 0]
+        letters = tuple(rng.choice(alphabet) for _ in range(size)) if alphabet else ()
+        w = BraidWord(n, letters)
+        d = closure_diagram(w)
+        j0 = w.writhe() - n
+        whole = build_complex(d)
+        _check_slice(d, range(-1, 2), j0, whole)
+        # another quantum degree and another window of degrees
+        lo = rng.randint(-d.n_minus - 1, d.n_plus)
+        degrees = range(lo, lo + rng.randint(1, 3))
+        _check_slice(d, degrees, j0 + 2 * rng.randint(-2, 2), whole)
+
+
+def test_slice_edge_cases():
+    w = parse_word("1 1 1")
+    part = _check_slice(closure_diagram(w), range(-1, 2), w.writhe() - 2)
+    assert part.num_vertices == 1 + 3  # n_minus = 0: nothing at degree -1
+    w = parse_word("-1 -1 -1")
+    part = _check_slice(closure_diagram(w), range(-1, 2), w.writhe() - 2)
+    assert part.num_vertices == 3 + 1  # n_minus = c: nothing at degree +1
+    # j of the wrong parity: the vertices are traced, no labeling is built
+    part = _check_slice(closure_diagram(w), range(-1, 2), w.writhe() - 1)
+    assert part.num_vertices == 4
+    assert part.total_generators == 0 and part.graded_dims == {} and part.full_boundary == {}
+    # degrees the cube does not have: no vertex at all
+    part = build_complex(closure_diagram(w), degrees=[5], quantum=0)
+    assert part.num_vertices == part.total_generators == 0
+    assert part.graded_boundary == {} and part.full_boundary == {}

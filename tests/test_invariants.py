@@ -4,6 +4,9 @@ import pytest
 
 from naive_skh import naive_psi_nonzero
 
+from annkh import cli, invariants
+from annkh.cube import DEFAULT_MAX_CROSSINGS, CrossingLimitError
+from annkh.diagram import AnnularClosureDiagram
 from annkh.garside import words_equal
 from annkh.homology import skh
 from annkh.invariants import (
@@ -104,12 +107,52 @@ def test_plamenevskaya_vanishes_for_generator_negative_words():
 
 def test_plamenevskaya_matches_naive():
     rng = random.Random(99)
-    for _ in range(20):
-        n = rng.randint(2, 3)
+    for trial in range(64):
+        n = rng.randint(2, 4)
         alphabet = [g for g in range(-(n - 1), n) if g != 0]
-        letters = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+        if trial % 4 == 1:
+            alphabet = [g for g in alphabet if g > 0]
+        elif trial % 4 == 2:
+            alphabet = [g for g in alphabet if g < 0]
+        letters = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
         w = BraidWord(n, letters)
         assert plamenevskaya(w).nonzero == naive_psi_nonzero(n, letters), w
+        mirror = w.mirror()
+        assert plamenevskaya(mirror).nonzero == naive_psi_nonzero(n, mirror.letters), mirror
+
+
+def test_plamenevskaya_at_the_crossing_limit(monkeypatch, capsys):
+    # the slice of a 20-crossing positive word has 1 + 20 vertices, and so
+    # has that of its mirror; the whole cube would have 2^20
+    calls = []
+    traced = []
+    original_trace = AnnularClosureDiagram._trace
+    original_build = invariants.build_complex
+
+    def counting_trace(d, vertex):
+        calls.append(vertex)
+        return original_trace(d, vertex)
+
+    def counting_build(*args, **kwargs):
+        before = len(calls)
+        cx = original_build(*args, **kwargs)
+        traced.append(len(calls) - before)
+        return cx
+
+    monkeypatch.setattr(AnnularClosureDiagram, "_trace", counting_trace)
+    monkeypatch.setattr(invariants, "build_complex", counting_build)
+    w = BraidWord(3, (1, 2) * 10)
+    assert len(w) == DEFAULT_MAX_CROSSINGS
+    assert plamenevskaya(w).nonzero
+    assert not plamenevskaya(w.mirror()).nonzero
+    assert len(traced) == 2 and max(traced) <= 21
+    longer = BraidWord(3, w.letters + (1,))
+    with pytest.raises(CrossingLimitError):
+        plamenevskaya(longer)
+    with pytest.raises(CrossingLimitError):
+        plamenevskaya(longer.mirror())
+    assert cli.run(["plam", "--strands", "3", "--", longer.as_text()]) == 1
+    assert "crossings" in capsys.readouterr().err
 
 
 def test_right_veering_reports():
