@@ -9,10 +9,13 @@ the generator at strands (i, i+1) maps to the identity except for the
 
 whose determinant is -T; the inverse generator's block is
 [[0, 1], [T^-1, 1 - T^-1]]. Words map to ordered products, first letter
-leftmost. Characteristic polynomials det(L*I - M) are computed over the
-exact bivariate ring Z[L, T^{+-1}] by subset expansion; L is the
-eigenvalue variable. All arithmetic is arbitrary-precision integer, no
-floating point anywhere.
+leftmost; each letter rewrites only the two columns it touches.
+Characteristic polynomials det(L*I - M) are computed over the exact
+bivariate ring Z[L, T^{+-1}] by subset expansion; L is the eigenvalue
+variable. `LaurentPoly` (in T) and `BivariatePoly` (in L and T) share one
+sparse arithmetic, `_Poly`, and differ only in how exponents add, their
+constructors and their print orders. All arithmetic is arbitrary-precision
+integer, no floating point anywhere.
 
 The representation is famously non-injective for five or more strands;
 a five-strand kernel word taken verbatim from Bigelow, "The Burau
@@ -43,14 +46,54 @@ def _canon(d: dict) -> tuple:
 
 
 @dataclass(frozen=True)
-class LaurentPoly:
-    """Integer Laurent polynomial in T, stored as sorted (exp, coeff) pairs."""
+class _Poly:
+    """Sparse integer polynomial: sorted (exponent, coeff) pairs, no zeros.
 
-    terms: tuple[tuple[int, int], ...] = ()
+    The arithmetic lives here once. A subclass says only how its exponents
+    add (`_shift(e, exps)` adds e to each of exps), how to build its
+    constants and how it prints. Results keep the class of the left
+    operand, and values of different subclasses never compare equal.
+    """
+
+    terms: tuple = ()
 
     @classmethod
-    def from_dict(cls, d: dict) -> "LaurentPoly":
+    def from_dict(cls, d: dict):
         return cls(_canon(d))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def add(self, other):
+        d = dict(self.terms)
+        for e, c in other.terms:
+            d[e] = d.get(e, 0) + c
+        return type(self)(_canon(d))
+
+    def neg(self):
+        return type(self)(tuple((e, -c) for e, c in self.terms))
+
+    def sub(self, other):
+        return self.add(other.neg())
+
+    def mul(self, other):
+        shift = self._shift
+        exps = [e for e, _ in other.terms]
+        coeffs = [c for _, c in other.terms]
+        d: dict = {}
+        get = d.get
+        for e1, c1 in self.terms:
+            for e, c2 in zip(shift(e1, exps), coeffs):
+                d[e] = get(e, 0) + c1 * c2
+        return type(self)(_canon(d))
+
+
+class LaurentPoly(_Poly):
+    """Integer Laurent polynomial in T; terms are (T-exponent, coeff)."""
+
+    @staticmethod
+    def _shift(e: int, exps: list[int]) -> list[int]:
+        return [e + x for x in exps]
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
@@ -60,49 +103,24 @@ class LaurentPoly:
     def t_power(cls, e: int, c: int = 1) -> "LaurentPoly":
         return cls(((e, c),) if c else ())
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_one(self) -> bool:
         return self.terms == ((0, 1),)
 
-    def add(self, other: "LaurentPoly") -> "LaurentPoly":
-        d = dict(self.terms)
-        for e, c in other.terms:
-            d[e] = d.get(e, 0) + c
-        return LaurentPoly(_canon(d))
-
-    def neg(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
-
-    def sub(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self.add(other.neg())
-
-    def mul(self, other: "LaurentPoly") -> "LaurentPoly":
-        d: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                d[e] = d.get(e, 0) + c1 * c2
-        return LaurentPoly(_canon(d))
-
     def __str__(self) -> str:
-        return _poly_str(self.terms, lambda e: _t_monomial(e))
+        return _poly_str(self.terms, _t_monomial)
 
 
-@dataclass(frozen=True)
-class BivariatePoly:
+class BivariatePoly(_Poly):
     """Integer polynomial in L (eigenvalue variable) and T^{+-1}.
 
     Terms are ((L-exponent, T-exponent), coefficient); canonical print
     order is descending in L, then ascending in T.
     """
 
-    terms: tuple[tuple[tuple[int, int], int], ...] = ()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BivariatePoly":
-        return cls(_canon(d))
+    @staticmethod
+    def _shift(e: tuple[int, int], exps: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        le, te = e
+        return [(le + a, te + b) for a, b in exps]
 
     @classmethod
     def from_laurent(cls, p: LaurentPoly, lexp: int = 0) -> "BivariatePoly":
@@ -111,29 +129,6 @@ class BivariatePoly:
     @classmethod
     def lam(cls) -> "BivariatePoly":
         return cls((((1, 0), 1),))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "BivariatePoly") -> "BivariatePoly":
-        d = dict(self.terms)
-        for e, c in other.terms:
-            d[e] = d.get(e, 0) + c
-        return BivariatePoly(_canon(d))
-
-    def neg(self) -> "BivariatePoly":
-        return BivariatePoly(tuple((e, -c) for e, c in self.terms))
-
-    def sub(self, other: "BivariatePoly") -> "BivariatePoly":
-        return self.add(other.neg())
-
-    def mul(self, other: "BivariatePoly") -> "BivariatePoly":
-        d: dict[tuple[int, int], int] = {}
-        for (l1, t1), c1 in self.terms:
-            for (l2, t2), c2 in other.terms:
-                e = (l1 + l2, t1 + t2)
-                d[e] = d.get(e, 0) + c1 * c2
-        return BivariatePoly(_canon(d))
 
     def __str__(self) -> str:
         ordered = sorted(self.terms, key=lambda item: (-item[0][0], item[0][1]))
@@ -199,47 +194,34 @@ class LaurentMatrix:
     def identity(cls, n: int) -> "LaurentMatrix":
         return cls(tuple(tuple(_ONE if r == c else _ZERO for c in range(n)) for r in range(n)))
 
-    def mul(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        n = self.n
-        rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = _ZERO
-                for m in range(n):
-                    acc = acc.add(self.entries[r][m].mul(other.entries[m][c]))
-                row.append(acc)
-            rows.append(tuple(row))
-        return LaurentMatrix(tuple(rows))
-
     def is_identity(self) -> bool:
         return self == LaurentMatrix.identity(self.n)
 
 
-def _generator_matrix(n: int, i: int, inverse: bool) -> LaurentMatrix:
-    # 2x2 block at (i-1, i): [[1-T, T], [1, 0]]; inverse [[0, 1], [T^-1, 1-T^-1]]
-    rows = [[_ONE if r == c else _ZERO for c in range(n)] for r in range(n)]
-    a = i - 1
-    if inverse:
-        rows[a][a] = _ZERO
-        rows[a][a + 1] = _ONE
-        rows[a + 1][a] = LaurentPoly.t_power(-1)
-        rows[a + 1][a + 1] = LaurentPoly.from_dict({0: 1, -1: -1})
-    else:
-        rows[a][a] = LaurentPoly.from_dict({0: 1, 1: -1})
-        rows[a][a + 1] = LaurentPoly.t_power(1)
-        rows[a + 1][a] = _ONE
-        rows[a + 1][a + 1] = _ZERO
-    return LaurentMatrix(tuple(tuple(row) for row in rows))
+_T = LaurentPoly.t_power(1)
+_T_INV = LaurentPoly.t_power(-1)
+_ONE_MINUS_T = LaurentPoly.from_dict({0: 1, 1: -1})
+_ONE_MINUS_T_INV = LaurentPoly.from_dict({0: 1, -1: -1})
 
 
 def burau_matrix(w: BraidWord) -> LaurentMatrix:
-    m = LaurentMatrix.identity(w.strands)
+    """The product of the letters' matrices, first letter leftmost.
+
+    Right-multiplying by a letter at strands (a+1, a+2) changes only
+    columns a and a+1 of the product: in each row, sigma maps the pair
+    (x, y) to ((1 - T)x + y, Tx) and its inverse maps it to
+    (T^-1 y, x + (1 - T^-1)y).
+    """
+    rows = [list(row) for row in LaurentMatrix.identity(w.strands).entries]
     for g in w.letters:
-        m = m.mul(_generator_matrix(w.strands, abs(g), g < 0))
-    return m
+        a = abs(g) - 1
+        for row in rows:
+            x, y = row[a], row[a + 1]
+            if g > 0:
+                row[a], row[a + 1] = _ONE_MINUS_T.mul(x).add(y), _T.mul(x)
+            else:
+                row[a], row[a + 1] = _T_INV.mul(y), x.add(_ONE_MINUS_T_INV.mul(y))
+    return LaurentMatrix(tuple(tuple(row) for row in rows))
 
 
 def _subset_det(rows, one, zero):

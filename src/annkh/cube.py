@@ -80,7 +80,7 @@ class CrossingLimitError(ValueError):
         if circles is None:
             msg = (
                 f"diagram has {crossings} crossings, over the limit of {limit}: the cube "
-                f"holds 2^{crossings} = {1 << crossings} resolutions and on the order of "
+                f"holds 2^{crossings} resolutions and on the order of "
                 f"2^{crossings} * 2^(circles) enhanced states (up to {strands + crossings} "
                 "circles per resolution); pass a larger max_crossings to proceed anyway"
             )

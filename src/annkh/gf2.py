@@ -70,11 +70,6 @@ class F2Matrix:
             return 0
         return len(_eliminate(self.data.copy(), self.cols))
 
-    def rank_with_row(self, extra: np.ndarray) -> int:
-        """Rank after appending one packed row."""
-        stacked = np.vstack([self.data, extra[None, :]])
-        return len(_eliminate(stacked, self.cols))
-
     def row_in_span(self, extra: np.ndarray) -> bool:
         """Is the packed row in the row space of this matrix?
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-__all__ = ["Permutation", "BraidWord", "parse_word"]
+__all__ = ["MAX_WORD_LETTERS", "Permutation", "BraidWord", "parse_word"]
 
 
 @dataclass(frozen=True)
@@ -197,17 +197,23 @@ class BraidWord:
 
 _TOKEN = re.compile(r"([+-]?\d+)(?:\^([+-]?\d+))?\Z")
 
+# Checked before powers are expanded, so that a token such as 1^1000000000
+# cannot exhaust memory; far above the longest fixture or benchmark word
+# (200 letters), and its tuple of letters stays under a megabyte.
+MAX_WORD_LETTERS = 100_000
+
 
 def parse_word(text: str, strands: int | None = None) -> BraidWord:
     """Parse the textual word grammar: signed indices with optional ^power.
 
     "1 -2 1^3" means sigma_1 sigma_2^-1 sigma_1^3; "2^-2" expands to two
     copies of sigma_2^-1. Tokens are separated by whitespace or commas.
-    The strand count defaults to (max |index|) + 1, or to the explicit
-    argument when that is larger; an explicit count too small for some
-    letter is an error.
+    A word of more than MAX_WORD_LETTERS letters is refused before any
+    power is expanded. The strand count defaults to (max |index|) + 1, or
+    to the explicit argument when that is larger; an explicit count too
+    small for some letter is an error.
     """
-    letters: list[int] = []
+    powers: list[tuple[int, int]] = []
     for token in re.split(r"[,\s]+", text.strip()):
         if not token:
             continue
@@ -220,7 +226,11 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
         power = int(m.group(2)) if m.group(2) is not None else 1
         if power < 0:
             g, power = -g, -power
-        letters.extend([g] * power)
+        powers.append((g, power))
+    total = sum(power for _, power in powers)
+    if total > MAX_WORD_LETTERS:
+        raise ValueError(f"word has more than {MAX_WORD_LETTERS} letters")
+    letters = [g for g, power in powers for _ in range(power)]
     required = max((abs(g) for g in letters), default=0) + 1
     if strands is None:
         strands = max(required, 1)

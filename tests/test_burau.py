@@ -42,6 +42,69 @@ def test_generator_matrix_and_inverse():
     assert burau_matrix(BraidWord(3, ())).is_identity()
 
 
+def _letter_matrix(n, g):
+    # explicit n x n matrix of one letter; block at (a, a+1) per the module convention
+    one, zero, t = LaurentPoly.const(1), LaurentPoly(), LaurentPoly.t_power(1)
+    rows = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    a = abs(g) - 1
+    if g > 0:
+        block = [[one.sub(t), t], [one, zero]]
+    else:
+        t_inv = LaurentPoly.t_power(-1)
+        block = [[zero, one], [t_inv, one.sub(t_inv)]]
+    for i in range(2):
+        for j in range(2):
+            rows[a + i][a + j] = block[i][j]
+    return rows
+
+
+def _matmul(x, y):
+    n = len(x)
+    out = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            acc = LaurentPoly()
+            for m in range(n):
+                acc = acc.add(x[r][m].mul(y[m][c]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def test_burau_matrix_is_the_product_of_its_letters():
+    rng = random.Random(29)
+    words = [BraidWord(n, (g,)) for n in range(2, 7) for g in range(-(n - 1), n) if g]
+    words += [random_word(rng, rng.randint(2, 6), 12) for _ in range(60)]
+    for w in words:
+        expected = [list(row) for row in LaurentMatrix.identity(w.strands).entries]
+        for g in w.letters:
+            expected = _matmul(expected, _letter_matrix(w.strands, g))
+        assert [list(row) for row in burau_matrix(w).entries] == expected, w
+
+
+def test_the_shapes_the_benchmark_reads():
+    rng = random.Random(31)
+    for _ in range(10):
+        w = random_word(rng, rng.randint(2, 5), 10)
+        m = burau_matrix(w)
+        polys = [laurent_det(m)] + [e for row in m.entries for e in row]
+        for p in polys:
+            assert type(p) is LaurentPoly
+            assert isinstance(p.terms, tuple)
+            for e, c in p.terms:
+                assert type(e) is int and type(c) is int
+        cp = char_poly(m)
+        lam = type(cp).lam()
+        assert type(cp) is BivariatePoly
+        assert cp.add(lam).sub(cp) == lam
+    assert LaurentPoly() != BivariatePoly()
+    assert LaurentPoly.const(1) != BivariatePoly.from_dict({(0, 0): 1})
+    # the same terms tuple in two classes
+    assert LaurentPoly.t_power(1) != BivariatePoly.from_dict({1: 1})
+    assert len({LaurentPoly(), BivariatePoly()}) == 2
+
+
 def test_braid_relations_symbolically():
     for n in range(2, 7):
         for i in range(1, n):

@@ -171,6 +171,17 @@ def test_crossing_limit_exit_one(capsys):
     assert run(["skh", "1^21", "--max-crossings", "3"]) == 1
 
 
+def test_crossing_limit_message_on_long_words(capsys):
+    # 2^20000 has 6,021 decimal digits, past Python's int-to-str limit
+    for command in ("skh", "plam"):
+        assert run([command, "1^20000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "20000 crossings" in lines[0]
+
+
 def test_crossing_limit_follows_the_typed_word(capsys):
     # 22 letters that cancel to the empty word are still over the limit of 20
     word = " ".join(["1 -1"] * 11)

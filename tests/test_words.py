@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
-from annkh.words import BraidWord, Permutation, parse_word
+from annkh.words import MAX_WORD_LETTERS, BraidWord, Permutation, parse_word
 
 
 def test_permutation_composition_is_apply_then():
@@ -103,6 +104,22 @@ def test_parse_word_errors():
         parse_word("x")
     with pytest.raises(ValueError):
         parse_word("1 2", strands=2)
+
+
+def test_parse_word_refuses_long_words_before_expanding():
+    assert len(parse_word(f"1^{MAX_WORD_LETTERS}").letters) == MAX_WORD_LETTERS
+    half = MAX_WORD_LETTERS // 2 + 1
+    with pytest.raises(ValueError, match="letters"):
+        parse_word(f"1^{half} -2^{half}")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="letters"):
+            parse_word("1^2000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # expanding the power first would hold a 16 MB list of letters
+    assert peak < 100_000
 
 
 def test_as_text_roundtrip():
