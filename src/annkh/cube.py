@@ -20,11 +20,13 @@ boundary by (j, i) computes ordinary Khovanov homology of the closure;
 keeping only the k-preserving components and grouping by (j, k, i) gives
 the associated graded boundary whose homology is the annular invariant.
 
-Generators are indexed once, by graded block (j, k, i); a full block
-(j, i) is its graded blocks laid side by side in increasing k. One edge
-sweep with vectorized label arithmetic lists every boundary entry into
-columns sized in advance, sorted by source block, and each boundary's
-blocks are packed from that list when they are read.
+Every generator has one index, numbered block by block in (j, i, k)
+order, so a graded block (j, k, i) is a range of it, and so is a full
+block (j, i): its graded blocks side by side in increasing k. One edge
+sweep with vectorized label arithmetic lists every boundary entry as a
+(source, target) pair of indices, in two columns sized in advance and
+sorted by source, and each boundary's blocks are packed from that list
+when they are read.
 The cube is enumerated exhaustively, so the state count is exponential in
 the number of crossings and a hard limit (default 20) guards against
 runaway jobs.
@@ -150,13 +152,14 @@ class AnnularComplex:
     total_generators, the dims and both boundaries describe what was
     built: the whole cube, or the slice that build_complex was asked for.
 
-    Generators are indexed once, by graded block: g_bid / g_pos give each
-    labeling's block and position, per built vertex, listed in the order
-    that slot maps a vertex to. A full block (j, i) is
-    its graded blocks (j, k, i) laid side by side in increasing k, so each
-    graded block has a full block id and a column offset there. Both
-    boundaries are packed from one shared entry list, sorted by source
-    block, when first read: a caller that reads one never allocates the
+    Every generator has one index, numbered block by block in (j, i, k)
+    order, and by vertex and then labels within a block. A graded block
+    (j, k, i) is a range [start, end) of that index, and so is a full block
+    (j, i): its graded blocks in increasing k. The boundary is one list of
+    (source, target) index pairs sorted by source. A block of either
+    boundary is packed from the entries whose source lies in its range,
+    taken relative to the start of its own range and of its successor's,
+    when first read: a caller that reads one boundary never allocates the
     other, and graded_blocks / full_blocks pack one block at a time for a
     caller that needs each block only once.
     """
@@ -164,60 +167,42 @@ class AnnularComplex:
     def __init__(
         self,
         diagram: AnnularClosureDiagram,
-        gkeys: dict,
-        gsizes: list[int],
+        blocks: dict[tuple[int, int, int], int],
         slot: dict[int, int] | range,
-        g_bid: list[np.ndarray],
-        g_pos: list[np.ndarray],
-        entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        index: list[np.ndarray],
+        entries: tuple[np.ndarray, np.ndarray],
     ):
+        """blocks gives each graded block's size in index order; index gives,
+        per built vertex in slot order, each labeling's index or -1."""
         self.diagram = diagram
         self.strands = diagram.strands
-        self.total_generators = sum(gsizes)
         self.num_vertices = len(slot)
         self._slot = slot
-        self._g_bid = g_bid
-        self._g_pos = g_pos
-        # entries arrive sorted by source block; the source column is then
-        # redundant: the entries of graded block g are [bounds[g], bounds[g + 1])
-        src, row, dst, col = entries
-        self._bounds = np.searchsorted(src, np.arange(len(gsizes) + 1)).tolist()
-        self._entries = row, dst, col
+        self._index = index
+        self._entries = entries
+        self.graded_dims = blocks
+        self.total_generators = sum(blocks.values())
+        self._graded: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self._full: dict[tuple[int, int], tuple[int, int]] = {}
+        start = 0
+        for (j, k, i), size in blocks.items():
+            self._graded[(j, k, i)] = start, start + size
+            self._full[(j, i)] = self._full.get((j, i), (start,))[0], start + size
+            start += size
+        self.full_dims = {key: end - start for key, (start, end) in self._full.items()}
 
-        self._gkey_list = list(gkeys)
-        self._gsizes = gsizes
-        self._gsucc = np.array(
-            [gkeys.get((j, k, i + 1), -1) for (j, k, i) in gkeys], dtype=np.int32
-        )
-        self.graded_dims = dict(zip(self._gkey_list, gsizes))
-        block_k = np.array([k for _j, k, _i in self._gkey_list], dtype=np.int16)
-
-        fkeys: dict[tuple[int, int], int] = {}
-        for j, _k, i in self._gkey_list:
-            fkeys.setdefault((j, i), len(fkeys))
-        self._fkey_list = list(fkeys)
-        self._fsizes = [0] * len(fkeys)
-        self._fsucc = np.array([fkeys.get((j, i + 1), -1) for (j, i) in fkeys], dtype=np.int32)
-        self._fmembers: list[list[int]] = [[] for _ in fkeys]
-        self._block_fid = np.empty(len(gsizes), dtype=np.int32)
-        self._block_offset = np.empty(len(gsizes), dtype=np.int64)
-        for gid in np.argsort(block_k, kind="stable"):
-            j, _k, i = self._gkey_list[gid]
-            fid = fkeys[(j, i)]
-            self._fmembers[fid].append(int(gid))
-            self._block_fid[gid] = fid
-            self._block_offset[gid] = self._fsizes[fid]
-            self._fsizes[fid] += gsizes[gid]
-        self.full_dims = dict(zip(self._fkey_list, self._fsizes))
-
-        # safety checks over every boundary entry, run on every build
-        per_block = np.diff(self._bounds)
-        src_k = np.repeat(block_k, per_block)
+        # safety checks over every boundary entry, run on every build, by
+        # looking up each generator's k and full block
+        sizes = list(blocks.values())
+        gen_k = np.repeat(np.array([k for _j, k, _i in blocks], dtype=np.int16), sizes)
+        fid = {key: f for f, key in enumerate(self._full)}
+        gen_full = np.repeat(np.array([fid[(j, i)] for j, _k, i in blocks], dtype=np.int32), sizes)
+        next_full = np.array([fid.get((j, i + 1), -1) for j, i in self._full], dtype=np.int32)
+        src, dst = entries
         if dst.size and dst.min() < 0:
             raise AssertionError("a boundary component left the slice")
-        self.k_increase_components = int(np.count_nonzero(block_k[dst] > src_k))
-        src_next = np.repeat(self._fsucc[self._block_fid], per_block)
-        if not np.array_equal(self._block_fid[dst], src_next):
+        self.k_increase_components = int(np.count_nonzero(gen_k[dst] > gen_k[src]))
+        if not np.array_equal(gen_full[dst], next_full[gen_full][src]):
             raise AssertionError("a boundary component left its quantum block")
 
     @cached_property
@@ -232,50 +217,44 @@ class AnnularComplex:
 
     def graded_blocks(self):
         """Yield graded_boundary's items, packing each block when reached."""
-        if "graded_boundary" in self.__dict__:
-            yield from self.graded_boundary.items()
-            return
-        row, dst, col = self._entries
-        bounds = self._bounds
-        for gid, key in enumerate(self._gkey_list):
-            s, e, succ = bounds[gid], bounds[gid + 1], int(self._gsucc[gid])
-            keep = dst[s:e] == succ
-            if succ >= 0 and keep.any():
-                rows, cols = self._gsizes[gid], self._gsizes[succ]
-                yield key, F2Matrix.from_entries(rows, cols, row[s:e][keep], col[s:e][keep])
+        return self._blocks("graded_boundary", self._graded, _next_graded)
 
     def full_blocks(self):
         """Yield full_boundary's items, packing each block when reached."""
-        if "full_boundary" in self.__dict__:
-            yield from self.full_boundary.items()
+        return self._blocks("full_boundary", self._full, _next_full)
+
+    def _blocks(self, cached: str, ranges: dict, succ):
+        # each range's entries go to its successor's range, or, in the
+        # graded case, to a block of lower k, which is left out
+        if cached in self.__dict__:
+            yield from self.__dict__[cached].items()
             return
-        row, dst, col = self._entries
-        bounds, offset = self._bounds, self._block_offset
-        for fid, key in enumerate(self._fkey_list):
-            spans = [(g, bounds[g], bounds[g + 1]) for g in self._fmembers[fid]]
-            spans = [(g, s, e) for g, s, e in spans if e > s]
-            if not spans:
+        src, dst = self._entries
+        for key, (start, end) in ranges.items():
+            target = ranges.get(succ(key))
+            if target is None:
                 continue
-            rows = np.concatenate([offset[g] + row[s:e] for g, s, e in spans])
-            cols = np.concatenate([offset[dst[s:e]] + col[s:e] for _g, s, e in spans])
-            shape = self._fsizes[fid], self._fsizes[int(self._fsucc[fid])]
-            yield key, F2Matrix.from_entries(*shape, rows, cols)
+            s, e = np.searchsorted(src, (start, end))
+            rows, cols = src[s:e] - start, dst[s:e] - target[0]
+            size = target[1] - target[0]
+            keep = (cols >= 0) & (cols < size)
+            if keep.any():
+                yield key, F2Matrix.from_entries(end - start, size, rows[keep], cols[keep])
 
     def full_position(self, vertex: int, labels: int) -> tuple[tuple[int, int], int]:
         """Locate a generator in its full block: ((j, i), column index)."""
-        s = self._slot[vertex]
-        gid = int(self._g_bid[s][labels])
-        pos = int(self._block_offset[gid]) + int(self._g_pos[s][labels])
-        return self._fkey_list[self._block_fid[gid]], pos
+        idx = int(self._index[self._slot[vertex]][labels])
+        for key, (start, end) in self._full.items():
+            if start <= idx < end:
+                return key, idx - start
+        raise ValueError(f"generator ({vertex}, {labels}) lies outside the built slice")
 
     def d_squared_is_zero(self, mode: str = "graded") -> bool:
         """Exhaustive matrix check that consecutive boundaries compose to zero."""
         if mode == "graded":
-            boundary = self.graded_boundary
-            succ = lambda key: (key[0], key[1], key[2] + 1)
+            boundary, succ = self.graded_boundary, _next_graded
         elif mode == "full":
-            boundary = self.full_boundary
-            succ = lambda key: (key[0], key[1] + 1)
+            boundary, succ = self.full_boundary, _next_full
         else:
             raise ValueError(f"unknown mode {mode!r}")
         for key, mat in boundary.items():
@@ -330,20 +309,19 @@ def build_complex(
         )
         slot = {v: s for s, v in enumerate(vertices)}
 
-    # per-vertex resolution data, and the labelings built there indexed
-    # into graded blocks (j, k, i); labels outside the slice get block -1.
-    # Lists are indexed by the vertex's slot in vertices.
+    # per-vertex resolution data and the labelings built there, listed by
+    # the vertex's slot in vertices. Each built labeling gets a cell, one
+    # integer that increases with its graded block in (j, i, k) order:
+    # r = i + n_minus lies in [0, c] and k + n in [0, 2n], as every
+    # essential circle crosses the n closing strands.
     stc_list: list[bytearray] = []
     min_list: list[tuple[int, ...]] = []
     m_list: list[int] = []
     labels_list: list[np.ndarray] = []
     out_counts: list[tuple[int, int]] = []
-    gkeys: dict[tuple[int, int, int], int] = {}
-    gsizes: list[int] = []
-    g_bid: list[np.ndarray] = []
-    g_pos: list[np.ndarray] = []
+    cells: list[np.ndarray] = []
     label_sets: dict[tuple[int, int | None], np.ndarray] = {}
-    kspan = 2 * n + 2
+    kspan = 2 * n + 1
 
     for v in vertices:
         stc, windings, min_sites = d._trace(v)
@@ -356,7 +334,6 @@ def build_complex(
                 emask |= 1 << ci
         ecnt = emask.bit_count()
         r = v.bit_count()
-        i = r - n_minus
         jbase = r + n_plus - 2 * n_minus
         plus = None
         if quantum is not None:
@@ -369,42 +346,44 @@ def build_complex(
             if plus is not None:
                 labels = labels[np.bitwise_count(labels) == plus]
             label_sets[(m, plus)] = labels
-        gb = np.full(1 << m, -1, dtype=np.int32)
-        gp = np.empty(1 << m, dtype=np.int32)
         stc_list.append(stc)
         min_list.append(min_sites)
         m_list.append(m)
         labels_list.append(labels)
         out_counts.append(_entry_counts(m, plus))
-        g_bid.append(gb)
-        g_pos.append(gp)
-        if not labels.size:
-            continue
         jj = 2 * np.bitwise_count(labels).astype(np.int64) - m + jbase
         kk = 2 * np.bitwise_count(labels & emask).astype(np.int64) - ecnt
-        code = jj * kspan + kk
-        order = np.argsort(code, kind="stable")
-        members = labels[order]
-        sorted_code = code[order]
-        new_group = np.empty(sorted_code.size, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = sorted_code[1:] != sorted_code[:-1]
-        starts = np.flatnonzero(new_group)
-        ends = np.append(starts[1:], sorted_code.size)
-        for s, e in zip(starts, ends):
-            key = (int(jj[order[s]]), int(kk[order[s]]), i)
-            gid = gkeys.get(key)
-            if gid is None:
-                gid = gkeys[key] = len(gsizes)
-                gsizes.append(0)
-            gb[members[s:e]] = gid
-            gp[members[s:e]] = gsizes[gid] + np.arange(e - s, dtype=np.int32)
-            gsizes[gid] += int(e - s)
+        cells.append((jj * (c + 1) + r) * kspan + kk + n)
+
+    # number the generators by cell; the stable sort keeps vertex and then
+    # labels order within a block. index[s] maps each labeling of the
+    # vertex at slot s to its generator index, -1 outside the slice.
+    cell = np.concatenate(cells or [np.empty(0, dtype=np.int64)])
+    del cells
+    order = np.argsort(cell, kind="stable")
+    position = np.empty(cell.size, dtype=np.int32)
+    position[order] = np.arange(cell.size, dtype=np.int32)
+    del order
+    cell, sizes = np.unique(cell, return_counts=True)
+    jr, kn = np.divmod(cell, kspan)
+    jv, rv = np.divmod(jr, c + 1)
+    blocks = {
+        (int(j), int(k) - n, int(r) - n_minus): int(size)
+        for j, k, r, size in zip(jv, kn, rv, sizes)
+    }
+    index: list[np.ndarray] = []
+    first = 0
+    for m, labels in zip(m_list, labels_list):
+        gi = np.full(1 << m, -1, dtype=np.int32)
+        gi[labels] = position[first : first + labels.size]
+        index.append(gi)
+        first += labels.size
+    del position
 
     # edge sweep over the edges between built vertices: vectorize the
-    # Frobenius map over the built labelings at once, writing (source block,
-    # source position, target block, target position) into columns sized in
-    # advance from each source vertex's merge and split entry counts.
+    # Frobenius map over the built labelings at once, writing (source,
+    # target) generator indices into two columns sized in advance from
+    # each source vertex's merge and split entry counts.
     va = np.asarray(vertices, dtype=np.int64)
     m_arr = np.array(m_list, dtype=np.int64)
     merges, splits = np.array(out_counts, dtype=np.int64).reshape(-1, 2).T
@@ -414,7 +393,8 @@ def build_complex(
         src = np.flatnonzero(swept & ((va >> t) & 1 == 0))
         dst = np.searchsorted(va, va[src] | (1 << t))
         total += int(np.where(m_arr[dst] < m_arr[src], merges[src], splits[src]).sum())
-    entries = [np.empty(total, dtype=np.int32) for _ in range(4)]
+    src_col = np.empty(total, dtype=np.int32)
+    dst_col = np.empty(total, dtype=np.int32)
     filled = 0
 
     nv = len(vertices)
@@ -463,24 +443,29 @@ def build_complex(
                 pos_src = labels[ispos]
                 src = np.concatenate([labels[~ispos], pos_src, pos_src])
                 dst = np.concatenate([neg_dst, pos_base | (1 << d1), pos_base | (1 << d2)])
-            span = slice(filled, filled + src.size)
-            entries[0][span] = g_bid[sv][src]
-            entries[1][span] = g_pos[sv][src]
-            entries[2][span] = g_bid[su][dst]
-            entries[3][span] = g_pos[su][dst]
+            src_col[filled : filled + src.size] = index[sv][src]
+            dst_col[filled : filled + src.size] = index[su][dst]
             filled += src.size
     if progress is not None:
         progress(nv, nv)
     if filled != total:
         raise AssertionError("the edge sweep wrote a different number of entries than counted")
 
-    # sort by source block one column at a time, so one column is held twice;
-    # the order within a block is immaterial, as packing ORs the entries
-    order = np.argsort(entries[0])
-    for idx in range(4):
-        entries[idx] = entries[idx][order]
+    # sort by source, one column at a time, so one column is held twice;
+    # the order of the targets of one source is immaterial, as packing ORs
+    order = np.argsort(src_col)
+    src_col = src_col[order]
+    dst_col = dst_col[order]
     del order
-    return AnnularComplex(d, gkeys, gsizes, slot, g_bid, g_pos, tuple(entries))
+    return AnnularComplex(d, blocks, slot, index, (src_col, dst_col))
+
+
+def _next_graded(key: tuple[int, int, int]) -> tuple[int, int, int]:
+    return key[0], key[1], key[2] + 1
+
+
+def _next_full(key: tuple[int, int]) -> tuple[int, int]:
+    return key[0], key[1] + 1
 
 
 def _entry_counts(m: int, plus: int | None) -> tuple[int, int]:

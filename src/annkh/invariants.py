@@ -116,7 +116,8 @@ def plamenevskaya(w: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> P
     of the incoming full boundary of its own quantum block. Only those two
     full blocks, (j0, -1) -> (j0, 0) -> (j0, 1) with j0 = writhe - n, are
     read, so only that slice of the cube is built: homological degrees
-    -1, 0 and 1 at quantum degree j0. The cube is that of w as typed: the
+    -1, 0 and 1 at quantum degree j0. The blocks are packed one at a time,
+    each dropped before the next is packed. The cube is that of w as typed: the
     class is a transverse invariant and a reduced conjugate would give the
     same answer, but the reduction is not applied here yet (see ROADMAP).
     """
@@ -129,14 +130,13 @@ def plamenevskaya(w: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> P
     key, pos = cx.full_position(gen.vertex, gen.labels)
     if key != (j0, 0):
         raise AssertionError("distinguished generator landed in the wrong block")
-    outgoing = cx.full_boundary.get((j0, 0))
-    if outgoing is not None and not outgoing.row_is_zero(pos):
-        raise AssertionError("distinguished generator is not a cycle")
-    incoming = cx.full_boundary.get((j0, -1))
-    if incoming is None:
-        nonzero = True
-    else:
-        nonzero = not incoming.row_in_span(pack_unit_row(incoming.cols, pos))
+    nonzero = True
+    for key, mat in cx.full_blocks():  # (j0, -1), then (j0, 0)
+        if key == (j0, 0) and not mat.row_is_zero(pos):
+            raise AssertionError("distinguished generator is not a cycle")
+        if key == (j0, -1):
+            nonzero = not mat.row_in_span(pack_unit_row(mat.cols, pos))
+        del mat
     return PlamenevskayaClass(bidegree=(0, j0), nonzero=nonzero)
 
 

@@ -202,6 +202,11 @@ _TOKEN = re.compile(r"([+-]?\d+)(?:\^([+-]?\d+))?\Z")
 # (200 letters), and its tuple of letters stays under a megabyte.
 MAX_WORD_LETTERS = 100_000
 
+# Longer indices and powers are refused before int() reads them (it refuses
+# over 4300 digits): an index-sized integer holds 18 digits, and such a
+# power is far over MAX_WORD_LETTERS.
+_MAX_DIGITS = 18
+
 
 def parse_word(text: str, strands: int | None = None) -> BraidWord:
     """Parse the textual word grammar: signed indices with optional ^power.
@@ -220,10 +225,13 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
         m = _TOKEN.match(token)
         if m is None:
             raise ValueError(f"bad braid letter token {token!r}")
-        g = int(m.group(1))
+        g, power = _number(m.group(1)), _number(m.group(2) or "1")
+        if g is None:
+            raise ValueError(f"bad braid letter token {token[:20]!r}: over {_MAX_DIGITS} digits")
+        if power is None:
+            raise ValueError(f"word has more than {MAX_WORD_LETTERS} letters")
         if g == 0:
             raise ValueError("generator index 0 is not a braid letter")
-        power = int(m.group(2)) if m.group(2) is not None else 1
         if power < 0:
             g, power = -g, -power
         powers.append((g, power))
@@ -239,3 +247,9 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
             f"word needs at least {required} strands but {strands} were requested"
         )
     return BraidWord(strands, tuple(letters))
+
+
+def _number(text: str) -> int | None:
+    """The value of a signed decimal string; None past _MAX_DIGITS digits."""
+    digits = text.lstrip("+-").lstrip("0") or "0"
+    return None if len(digits) > _MAX_DIGITS else int(digits) * (-1 if text[0] == "-" else 1)

@@ -182,6 +182,18 @@ def test_crossing_limit_message_on_long_words(capsys):
         assert "20000 crossings" in lines[0]
 
 
+def test_long_digit_tokens_are_refused_by_the_grammar(capsys):
+    # int() refuses more than 4300 digits; the parser must refuse them first
+    nines = "9" * 5000
+    for word, message in ((f"1^{nines}", "letters"), (nines, "bad braid letter token")):
+        assert run(["skh", word]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert message in lines[0] and "4300" not in lines[0]
+
+
 def test_crossing_limit_follows_the_typed_word(capsys):
     # 22 letters that cancel to the empty word are still over the limit of 20
     word = " ".join(["1 -1"] * 11)

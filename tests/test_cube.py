@@ -115,18 +115,54 @@ def test_bottom_k_dimension_is_one():
 def test_full_position_roundtrip():
     w = parse_word("1 -2", strands=3)
     d = closure_diagram(w)
-    cx = build_complex(d)
-    seen = {}
-    for v in range(4):
-        m = len(d.resolve(v).circles)
-        for labels in range(1 << m):
-            g = enhanced_generator(d, v, labels)
-            key, pos = cx.full_position(v, labels)
-            assert key == (g.j, g.i)
-            assert 0 <= pos < cx.full_dims[key]
-            assert (key, pos) not in seen
-            seen[(key, pos)] = (v, labels)
-    assert len(seen) == cx.total_generators
+    j0 = w.writhe() - w.strands
+    whole = build_complex(d)
+    plam_slice = build_complex(d, degrees=range(-1, 2), quantum=j0)
+    for cx in (whole, plam_slice):
+        seen = {}
+        for v in range(4):
+            m = len(d.resolve(v).circles)
+            for labels in range(1 << m):
+                g = enhanced_generator(d, v, labels)
+                if cx is plam_slice and g.j != j0:
+                    with pytest.raises(ValueError):
+                        cx.full_position(v, labels)
+                    continue
+                key, pos = cx.full_position(v, labels)
+                assert key == (g.j, g.i)
+                assert 0 <= pos < cx.full_dims[key]
+                assert (key, pos) not in seen
+                seen[(key, pos)] = (v, labels)
+        assert len(seen) == cx.total_generators
+    assert 0 < plam_slice.total_generators < whole.total_generators
+
+
+def test_graded_boundary_is_the_k_diagonal_of_the_full_boundary(fixture_complexes):
+    for w, cx, _graded, _full in fixture_complexes.values():
+        # each graded block's rows within its full block, graded blocks in increasing k
+        spans = {}
+        for (j, i), dim in cx.full_dims.items():
+            start = 0
+            for k in sorted(k for jj, k, ii in cx.graded_dims if (jj, ii) == (j, i)):
+                size = cx.graded_dims[(j, k, i)]
+                spans[(j, k, i)] = slice(start, start + size)
+                start += size
+            assert start == dim, w
+        assert set(cx.graded_boundary) <= set(spans)
+        for (j, k, i), rows in spans.items():
+            full = cx.full_boundary.get((j, i))
+            dense = full.to_dense() if full is not None else None
+            for (jt, kt, it), cols in spans.items():
+                if (jt, it) != (j, i + 1) or kt < k:
+                    continue
+                zero = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=np.uint8)
+                part = zero if dense is None else dense[rows, cols]
+                if kt > k:
+                    assert not part.any(), (w, j, k, i, kt)
+                    continue
+                graded = cx.graded_boundary.get((j, k, i))
+                expected = zero if graded is None else graded.to_dense()
+                assert np.array_equal(part, expected), (w, j, k, i)
 
 
 def test_progress_callback():

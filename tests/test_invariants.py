@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -8,6 +9,7 @@ from annkh import cli, invariants
 from annkh.cube import DEFAULT_MAX_CROSSINGS, CrossingLimitError
 from annkh.diagram import AnnularClosureDiagram
 from annkh.garside import words_equal
+from annkh.gf2 import F2Matrix
 from annkh.homology import skh
 from annkh.invariants import (
     Decision,
@@ -153,6 +155,23 @@ def test_plamenevskaya_at_the_crossing_limit(monkeypatch, capsys):
         plamenevskaya(longer.mirror())
     assert cli.run(["plam", "--strands", "3", "--", longer.as_text()]) == 1
     assert "crossings" in capsys.readouterr().err
+
+
+def test_plamenevskaya_holds_one_packed_block_at_a_time(monkeypatch):
+    # (j0, -1) is dropped after its span test, before (j0, 0) is packed
+    packed = []
+    held = []
+    original = F2Matrix.from_entries
+
+    def tracking(*args):
+        held.append(sum(ref() is not None for ref in packed))
+        mat = original(*args)
+        packed.append(weakref.ref(mat.data))
+        return mat
+
+    monkeypatch.setattr(F2Matrix, "from_entries", staticmethod(tracking))
+    assert not plamenevskaya(parse_word("1 1 -2 -2 1 -2", strands=3)).nonzero
+    assert len(held) == 2 and max(held) == 0
 
 
 def test_right_veering_reports():
