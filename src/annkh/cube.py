@@ -23,25 +23,33 @@ the associated graded boundary whose homology is the annular invariant.
 Every generator has one index, numbered block by block in (j, i, k)
 order, so a graded block (j, k, i) is a range of it, and so is a full
 block (j, i): its graded blocks side by side in increasing k. One edge
-sweep with vectorized label arithmetic lists every boundary entry as a
-(source, target) pair of indices, in two columns sized in advance and
-sorted by source, and each boundary's blocks are packed from that list
-when they are read.
+sweep lists every boundary entry as a (source, target) pair of indices,
+in two columns sorted by source, from which each boundary's blocks are
+packed when read. Circles are numbered by least site, and an edge shares
+the sites of the circles it changes out anew, so the untouched circles
+keep their order and the first changed circle keeps its number: a target
+labeling is the source labeling with the second source circle's bit
+dropped (a merge) or a bit opened for the second target circle (a
+split), and the Frobenius map sets the changed circles' bits.
+The labelings built at a vertex, all or all with one plus count, are
+symmetric in the circles, so the columns are sized from them in advance.
 The cube is enumerated exhaustively, so the state count is exponential in
 the number of crossings and a hard limit (default 20) guards against
 runaway jobs.
 
 build_complex builds the diagram it is given, crossing for crossing, and
 either the whole cube or a slice of it: some homological degrees at one
-quantum degree. Every boundary component preserves j and raises i by
-one, so a slice's blocks are exactly the whole cube's blocks at the same
-keys, except that its top degree has no outgoing boundary. skh and kh
-hand it the closure of a cyclically reduced conjugate of their word
-(homology.reduced_complex), which can have far fewer crossings, and
-build the whole cube; plamenevskaya hands it the word as typed and builds
-the slice i in {-1, 0, 1} at j = writhe - n. generator_count gives the
-size of a diagram's cube by a transfer down the braid, without building
-it, so the size of the typed word's cube can still be reported.
+quantum degree, on one path that lists the vertices of the wanted
+degrees by their sets of 1-smoothings. Every boundary component
+preserves j and raises i by one, so a slice's blocks are exactly the
+whole cube's blocks at the same keys, except that its top degree has no
+outgoing boundary. skh and kh hand it the closure of a cyclically
+reduced conjugate of their word (homology.reduced_complex), which can
+have far fewer crossings, and build the whole cube; plamenevskaya hands
+it the word as typed and builds the slice i in {-1, 0, 1} at
+j = writhe - n. generator_count gives the size of a diagram's cube by a
+transfer down the braid, without building it, so the size of the typed
+word's cube can still be reported.
 """
 
 from __future__ import annotations
@@ -50,7 +58,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import comb
 from typing import Callable, Iterable
 
 import numpy as np
@@ -168,7 +175,7 @@ class AnnularComplex:
         self,
         diagram: AnnularClosureDiagram,
         blocks: dict[tuple[int, int, int], int],
-        slot: dict[int, int] | range,
+        slot: dict[int, int],
         index: list[np.ndarray],
         entries: tuple[np.ndarray, np.ndarray],
     ):
@@ -243,11 +250,12 @@ class AnnularComplex:
 
     def full_position(self, vertex: int, labels: int) -> tuple[tuple[int, int], int]:
         """Locate a generator in its full block: ((j, i), column index)."""
-        idx = int(self._index[self._slot[vertex]][labels])
+        gi = self._index[self._slot[vertex]] if vertex in self._slot else ()
+        idx = int(gi[labels]) if 0 <= labels < len(gi) else -1
         for key, (start, end) in self._full.items():
             if start <= idx < end:
                 return key, idx - start
-        raise ValueError(f"generator ({vertex}, {labels}) lies outside the built slice")
+        raise ValueError(f"generator ({vertex}, {labels}) was not built")
 
     def d_squared_is_zero(self, mode: str = "graded") -> bool:
         """Exhaustive matrix check that consecutive boundaries compose to zero."""
@@ -284,10 +292,11 @@ def build_complex(
 
     degrees (homological degrees i) and quantum (one quantum degree j)
     restrict the build to a slice; None, the default, keeps the whole
-    cube. A slice traces only the vertices with i in degrees, indexes only
-    their labelings with j = quantum, and sweeps only the edges between
-    two of those vertices. Its blocks are those of the whole cube at the
-    same keys, except that the top degree has no outgoing boundary.
+    cube. Either is built on one path, which traces only the vertices with
+    i in degrees, indexes only their labelings with j = quantum, and
+    sweeps only the edges between two of those vertices. A slice's blocks
+    are those of the whole cube at the same keys, except that the top
+    degree has no outgoing boundary.
 
     progress, when given, is called as progress(vertices_processed,
     total_vertices) at a coarse cadence during the edge sweep.
@@ -297,17 +306,16 @@ def build_complex(
     if c > max_crossings:
         raise CrossingLimitError(c, max_crossings, n)
     n_plus, n_minus = d.n_plus, d.n_minus
-    # vertices are built in increasing order, so a block lists its
-    # generators in the same order in the whole cube and in any slice
+    # the vertices with r one-smoothings for each r in ones, in increasing
+    # order, so a block lists its generators in the same order in the
+    # whole cube and in any slice; degrees may be an iterator, read once
     ones = set(range(c + 1))
-    if degrees is None:
-        vertices = slot = range(1 << c)  # each vertex is its own slot
-    else:
+    if degrees is not None:
         ones &= {i + n_minus for i in degrees}
-        vertices = sorted(
-            sum(1 << t for t in chosen) for r in ones for chosen in combinations(range(c), r)
-        )
-        slot = {v: s for s, v in enumerate(vertices)}
+    vertices = sorted(
+        sum(1 << t for t in chosen) for r in ones for chosen in combinations(range(c), r)
+    )
+    slot = {v: s for s, v in enumerate(vertices)}
 
     # per-vertex resolution data and the labelings built there, listed by
     # the vertex's slot in vertices. Each built labeling gets a cell, one
@@ -315,24 +323,19 @@ def build_complex(
     # r = i + n_minus lies in [0, c] and k + n in [0, 2n], as every
     # essential circle crosses the n closing strands.
     stc_list: list[bytearray] = []
-    min_list: list[tuple[int, ...]] = []
     m_list: list[int] = []
     labels_list: list[np.ndarray] = []
     out_counts: list[tuple[int, int]] = []
     cells: list[np.ndarray] = []
-    label_sets: dict[tuple[int, int | None], np.ndarray] = {}
+    label_sets: dict[tuple[int, int | None], tuple[np.ndarray, int, int]] = {}
     kspan = 2 * n + 1
 
     for v in vertices:
-        stc, windings, min_sites = d._trace(v)
+        stc, windings, _ = d._trace(v)
         m = len(windings)
         if m > 26:
             raise CrossingLimitError(c, max_crossings, n, circles=m)
-        emask = 0
-        for ci, w in enumerate(windings):
-            if w != 0:
-                emask |= 1 << ci
-        ecnt = emask.bit_count()
+        emask = sum(1 << ci for ci, w in enumerate(windings) if w != 0)
         r = v.bit_count()
         jbase = r + n_plus - 2 * n_minus
         plus = None
@@ -340,19 +343,22 @@ def build_complex(
             # j = 2 * plus - m + jbase; no labeling reaches an odd difference
             twice = quantum - jbase + m
             plus = twice >> 1 if twice % 2 == 0 else -1
-        labels = label_sets.get((m, plus))
-        if labels is None:
+        if (m, plus) not in label_sets:
             labels = np.arange(1 << m, dtype=np.int64)
             if plus is not None:
                 labels = labels[np.bitwise_count(labels) == plus]
-            label_sets[(m, plus)] = labels
+            # the set holds all labelings or all with one plus count, so it
+            # is symmetric in the circles: a merge maps the labelings not
+            # minus on circles 0 and 1, a split those plus on circle 0 twice
+            merges = labels.size - np.count_nonzero(labels & 3 == 0)
+            label_sets[(m, plus)] = labels, merges, labels.size + np.count_nonzero(labels & 1)
+        labels, merges, splits = label_sets[(m, plus)]
         stc_list.append(stc)
-        min_list.append(min_sites)
         m_list.append(m)
         labels_list.append(labels)
-        out_counts.append(_entry_counts(m, plus))
+        out_counts.append((merges, splits))
         jj = 2 * np.bitwise_count(labels).astype(np.int64) - m + jbase
-        kk = 2 * np.bitwise_count(labels & emask).astype(np.int64) - ecnt
+        kk = 2 * np.bitwise_count(labels & emask).astype(np.int64) - emask.bit_count()
         cells.append((jj * (c + 1) + r) * kspan + kk + n)
 
     # number the generators by cell; the stable sort keeps vertex and then
@@ -404,45 +410,31 @@ def build_complex(
         labels = labels_list[sv]
         if not labels.size or not swept[sv]:
             continue
-        mv = m_list[sv]
         stcv = stc_list[sv]
-        mins = min_list[sv]
         for t in range(c):
             if (v >> t) & 1:
                 continue
             su = slot[v | (1 << t)]
             stcu = stc_list[su]
             sites = d.crossing_sites(t)
-            affected_src = {stcv[s] for s in sites}
-            affected_dst = {stcu[s] for s in sites}
+            affected_src = sorted({stcv[s] for s in sites})
+            affected_dst = sorted({stcu[s] for s in sites})
             if len(affected_src) + len(affected_dst) != 3:
                 raise AssertionError("a resolution change must merge two circles or split one")
-            pairs = [
-                (ci, stcu[mins[ci]]) for ci in range(mv) if ci not in affected_src
-            ]
+            # the first changed circle keeps its least site and so its
+            # number; the second source bit is dropped, or a target bit opened
             if len(affected_src) == 2:
-                a1, a2 = sorted(affected_src)
-                (dd,) = affected_dst
-                x1 = (labels >> a1) & 1
-                x2 = (labels >> a2) & 1
+                a, b = affected_src
+                x1, x2 = (labels >> a) & 1, (labels >> b) & 1
                 keep = (x1 | x2) != 0
-                src = labels[keep]
-                dst = np.zeros(src.shape, dtype=np.int64)
-                for sb, db in pairs:
-                    dst |= ((src >> sb) & 1) << db
-                dst |= (x1 & x2)[keep] << dd
+                rest = ((labels >> (b + 1)) << b) | (labels & ((1 << b) - 1) & ~(1 << a))
+                src, dst = labels[keep], rest[keep] | ((x1 & x2)[keep] << a)
             else:
-                (aa,) = affected_src
-                d1, d2 = sorted(affected_dst)
-                base = np.zeros(labels.shape, dtype=np.int64)
-                for sb, db in pairs:
-                    base |= ((labels >> sb) & 1) << db
-                ispos = ((labels >> aa) & 1) != 0
-                neg_dst = base[~ispos]
-                pos_base = base[ispos]
-                pos_src = labels[ispos]
-                src = np.concatenate([labels[~ispos], pos_src, pos_src])
-                dst = np.concatenate([neg_dst, pos_base | (1 << d1), pos_base | (1 << d2)])
+                (a,), (_, b) = affected_src, affected_dst
+                ispos = (labels >> a) & 1 != 0
+                rest = ((labels >> b) << (b + 1)) | (labels & ((1 << b) - 1))
+                src = np.concatenate([labels[~ispos]] + [labels[ispos]] * 2)
+                dst = np.concatenate([rest[~ispos], rest[ispos], rest[ispos] ^ ((1 << a) | (1 << b))])
             src_col[filled : filled + src.size] = index[sv][src]
             dst_col[filled : filled + src.size] = index[su][dst]
             filled += src.size
@@ -466,22 +458,6 @@ def _next_graded(key: tuple[int, int, int]) -> tuple[int, int, int]:
 
 def _next_full(key: tuple[int, int]) -> tuple[int, int]:
     return key[0], key[1] + 1
-
-
-def _entry_counts(m: int, plus: int | None) -> tuple[int, int]:
-    """Boundary entries of a merge and of a split out of a vertex with m circles.
-
-    plus is the plus count of the labelings built there, None for all.
-    """
-    if plus is None:
-        return (3 << m) >> 2, (3 << m) >> 1
-    if not 0 <= plus <= m:
-        return 0, 0
-    # a merge drops the labelings minus on both merged circles, a split
-    # maps those plus on the split circle twice
-    both_minus = comb(m - 2, plus) if m >= 2 else 0
-    plus_on_one = comb(m - 1, plus - 1) if plus else 0
-    return comb(m, plus) - both_minus, comb(m, plus) + plus_on_one
 
 
 def generator_count(d: AnnularClosureDiagram) -> int:

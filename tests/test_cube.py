@@ -135,6 +135,15 @@ def test_full_position_roundtrip():
                 seen[(key, pos)] = (v, labels)
         assert len(seen) == cx.total_generators
     assert 0 < plam_slice.total_generators < whole.total_generators
+    # every vertex or labeling that was not built is refused the same way
+    whole = cx_of("1 1 1")
+    for vertex, labels in [(-1, 0), (0, -1), (8, 0), (0, 1 << 30)]:
+        with pytest.raises(ValueError):
+            whole.full_position(vertex, labels)
+    w = parse_word("1 1 1 1")
+    plam_slice = build_complex(closure_diagram(w), degrees=range(-1, 2), quantum=w.writhe() - 2)
+    with pytest.raises(ValueError):
+        plam_slice.full_position(15, 0)  # degree 4, outside the slice
 
 
 def test_graded_boundary_is_the_k_diagonal_of_the_full_boundary(fixture_complexes):
@@ -274,6 +283,13 @@ def test_slice_edge_cases():
     w = parse_word("-1 -1 -1")
     part = _check_slice(closure_diagram(w), range(-1, 2), w.writhe() - 2)
     assert part.num_vertices == 3 + 1  # n_minus = c: nothing at degree +1
+    # degrees given as an iterator, which can be read only once
+    once = build_complex(closure_diagram(w), degrees=iter(range(-1, 2)), quantum=w.writhe() - 2)
+    assert once.num_vertices == part.num_vertices and once.graded_dims == part.graded_dims
+    assert once.total_generators == part.total_generators
+    assert once.full_boundary.keys() == part.full_boundary.keys() != set()
+    _same_blocks(once.full_boundary, part.full_boundary)
+    _same_blocks(once.graded_boundary, part.graded_boundary)
     # j of the wrong parity: the vertices are traced, no labeling is built
     part = _check_slice(closure_diagram(w), range(-1, 2), w.writhe() - 1)
     assert part.num_vertices == 4

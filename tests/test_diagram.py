@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from annkh.diagram import AnnularClosureDiagram, closure_diagram
@@ -81,6 +83,30 @@ def test_circles_listed_by_min_site():
         assert mins == sorted(mins)
         seen = sorted(s for c in state.circles for s in c)
         assert seen == list(range(d.num_sites))
+
+
+def test_an_edge_keeps_the_order_of_untouched_circles():
+    # the edge sweep relabels circles by bit position: mapped through its
+    # least site, each untouched circle must land in order, and the first
+    # circle the edge changes must keep its number
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 9))]
+        d = closure_diagram(BraidWord(n, tuple(letters)))
+        traces = [d._trace(v) for v in range(1 << d.num_crossings)]
+        for v, (stcv, windings, mins) in enumerate(traces):
+            for t in range(d.num_crossings):
+                if (v >> t) & 1:
+                    continue
+                stcu, windings_u, _ = traces[v | (1 << t)]
+                changed_src = sorted({stcv[s] for s in d.crossing_sites(t)})
+                changed_dst = sorted({stcu[s] for s in d.crossing_sites(t)})
+                untouched = [ci for ci in range(len(windings)) if ci not in changed_src]
+                images = [stcu[mins[ci]] for ci in untouched]
+                kept = [ci for ci in range(len(windings_u)) if ci not in changed_dst]
+                assert images == kept, (letters, v, t)
+                assert changed_src[0] == changed_dst[0], (letters, v, t)
 
 
 def test_windings_bounded():
