@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from .words import BraidWord
 
 __all__ = [
+    "MAX_DET_SIZE",
     "LaurentPoly",
     "LaurentMatrix",
     "BivariatePoly",
@@ -107,7 +108,7 @@ class LaurentPoly(_Poly):
         return self.terms == ((0, 1),)
 
     def __str__(self) -> str:
-        return _poly_str(self.terms, _t_monomial)
+        return _poly_str(sorted(self.terms), _t_monomial)
 
 
 class BivariatePoly(_Poly):
@@ -132,7 +133,7 @@ class BivariatePoly(_Poly):
 
     def __str__(self) -> str:
         ordered = sorted(self.terms, key=lambda item: (-item[0][0], item[0][1]))
-        return _poly_str(ordered, lambda e: _lt_monomial(*e), presorted=True)
+        return _poly_str(ordered, lambda e: _lt_monomial(*e))
 
 
 def _t_monomial(e: int) -> str:
@@ -150,10 +151,10 @@ def _lt_monomial(le: int, te: int) -> str:
     return "*".join(parts)
 
 
-def _poly_str(terms, mono, presorted: bool = False) -> str:
-    items = terms if presorted else sorted(terms)
+def _poly_str(terms, mono) -> str:
+    """Print (exponent, coeff) terms in the order given."""
     pieces = []
-    for e, c in items:
+    for e, c in terms:
         m = mono(e)
         if not m:
             body = str(abs(c))
@@ -224,11 +225,21 @@ def burau_matrix(w: BraidWord) -> LaurentMatrix:
     return LaurentMatrix(tuple(tuple(row) for row in rows))
 
 
+# The subset expansion holds 2^n minors and its time grows about 4x every
+# two rows, so larger matrices are refused before it allocates them.
+MAX_DET_SIZE = 20
+
+
 def _subset_det(rows, one, zero):
     # D[mask] = det of the submatrix on the first popcount(mask) rows and
     # the columns of mask; masks visit in increasing order so the smaller
     # subsets are always ready.
     n = len(rows)
+    if n > MAX_DET_SIZE:
+        raise ValueError(
+            f"determinant of a {n}x{n} matrix is refused: the subset expansion "
+            f"is limited to {MAX_DET_SIZE} rows"
+        )
     full = (1 << n) - 1
     dets = [None] * (full + 1)
     dets[0] = one

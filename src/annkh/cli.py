@@ -30,7 +30,7 @@ from .burau import burau_matrix, char_poly, laurent_det
 from .cube import DEFAULT_MAX_CROSSINGS, generator_count
 from .diagram import closure_diagram
 from .garside import left_normal_form, words_equal
-from .homology import homology_full, homology_graded, poincare_polynomial, reduced_complex, skh, total_dim
+from .homology import kh, poincare_polynomial, skh, total_dim
 from .invariants import (
     flype_pair,
     is_trivial,
@@ -62,32 +62,29 @@ def _word(args, env: dict) -> BraidWord:
     return w
 
 
-def _homology_table(env: dict, w: BraidWord, cx, dims: dict) -> list[str]:
+def _homology_table(env: dict, w: BraidWord, dims: dict) -> list[str]:
     poly = poincare_polynomial(dims)
     env["dims"] = [[*degrees, d] for degrees, d in sorted(dims.items())]
     env["total"] = total_dim(dims)
     env["payload"] = {"poincare": poly}
-    # the cube is built from a reduced conjugate; stats describe the typed word
+    # the cube is built from a reduced conjugate; stats describe the typed
+    # word. A build whose boundary raises k fails, so that count is always 0.
     env["stats"] = {
         "generators": generator_count(closure_diagram(w)),
         "vertices": 1 << len(w),
-        "k_increase_components": cx.k_increase_components,
+        "k_increase_components": 0,
     }
     return [poly, f"total dimension: {env['total']}"]
 
 
 def _cmd_skh(args, env):
     w = _word(args, env)
-    cx = reduced_complex(w, max_crossings=args.max_crossings)
-    dims = {(i, j, k): d for (j, k, i), d in homology_graded(cx).items()}
-    return _homology_table(env, w, cx, dims), 0
+    return _homology_table(env, w, skh(w, max_crossings=args.max_crossings)), 0
 
 
 def _cmd_kh(args, env):
     w = _word(args, env)
-    cx = reduced_complex(w, max_crossings=args.max_crossings)
-    dims = {(i, j): d for (j, i), d in homology_full(cx).items()}
-    return _homology_table(env, w, cx, dims), 0
+    return _homology_table(env, w, kh(w, max_crossings=args.max_crossings)), 0
 
 
 def _cmd_equal(args, env):

@@ -15,10 +15,11 @@ The boundary sums the GF(2) Frobenius maps over the cube edges. Merging
 two circles sends plus,plus to plus, a mixed pair to minus, and minus,minus
 to zero; splitting one circle sends plus to the two mixed labelings and
 minus to minus,minus; untouched circles keep their labels. Every component
-preserves j, raises i by one, and never raises k. Grouping the full
-boundary by (j, i) computes ordinary Khovanov homology of the closure;
-keeping only the k-preserving components and grouping by (j, k, i) gives
-the associated graded boundary whose homology is the annular invariant.
+preserves j, raises i by one, and never raises k, and every build checks
+all three on each of its components. Grouping the full boundary by (j, i)
+computes ordinary Khovanov homology of the closure; keeping only the
+k-preserving components and grouping by (j, k, i) gives the associated
+graded boundary whose homology is the annular invariant.
 
 Every generator has one index, numbered block by block in (j, i, k)
 order, so a graded block (j, k, i) is a range of it, and so is a full
@@ -154,8 +155,9 @@ class AnnularComplex:
     graded_dims / graded_boundary are keyed by (j, k, i); the matrix at a
     key maps the (j, k, i) chain block to (j, k, i+1) and a missing matrix
     is the zero map. full_dims / full_boundary are the same thing for the
-    full boundary, keyed by (j, i). k_increase_components counts boundary
-    components that raised k; it must be zero. num_vertices,
+    full boundary, keyed by (j, i). Every block key ends in i, and a block
+    maps to the key one higher in i. The build fails if a boundary entry
+    leaves the slice or its quantum block or raises k. num_vertices,
     total_generators, the dims and both boundaries describe what was
     built: the whole cube, or the slice that build_complex was asked for.
 
@@ -173,7 +175,6 @@ class AnnularComplex:
 
     def __init__(
         self,
-        diagram: AnnularClosureDiagram,
         blocks: dict[tuple[int, int, int], int],
         slot: dict[int, int],
         index: list[np.ndarray],
@@ -181,8 +182,6 @@ class AnnularComplex:
     ):
         """blocks gives each graded block's size in index order; index gives,
         per built vertex in slot order, each labeling's index or -1."""
-        self.diagram = diagram
-        self.strands = diagram.strands
         self.num_vertices = len(slot)
         self._slot = slot
         self._index = index
@@ -208,7 +207,8 @@ class AnnularComplex:
         src, dst = entries
         if dst.size and dst.min() < 0:
             raise AssertionError("a boundary component left the slice")
-        self.k_increase_components = int(np.count_nonzero(gen_k[dst] > gen_k[src]))
+        if np.any(gen_k[dst] > gen_k[src]):
+            raise AssertionError("a boundary component raised k")
         if not np.array_equal(gen_full[dst], next_full[gen_full][src]):
             raise AssertionError("a boundary component left its quantum block")
 
@@ -224,13 +224,13 @@ class AnnularComplex:
 
     def graded_blocks(self):
         """Yield graded_boundary's items, packing each block when reached."""
-        return self._blocks("graded_boundary", self._graded, _next_graded)
+        return self._blocks("graded_boundary", self._graded)
 
     def full_blocks(self):
         """Yield full_boundary's items, packing each block when reached."""
-        return self._blocks("full_boundary", self._full, _next_full)
+        return self._blocks("full_boundary", self._full)
 
-    def _blocks(self, cached: str, ranges: dict, succ):
+    def _blocks(self, cached: str, ranges: dict):
         # each range's entries go to its successor's range, or, in the
         # graded case, to a block of lower k, which is left out
         if cached in self.__dict__:
@@ -238,7 +238,7 @@ class AnnularComplex:
             return
         src, dst = self._entries
         for key, (start, end) in ranges.items():
-            target = ranges.get(succ(key))
+            target = ranges.get(_shift_i(key))
             if target is None:
                 continue
             s, e = np.searchsorted(src, (start, end))
@@ -257,27 +257,14 @@ class AnnularComplex:
                 return key, idx - start
         raise ValueError(f"generator ({vertex}, {labels}) was not built")
 
-    def d_squared_is_zero(self, mode: str = "graded") -> bool:
-        """Exhaustive matrix check that consecutive boundaries compose to zero."""
-        if mode == "graded":
-            boundary, succ = self.graded_boundary, _next_graded
-        elif mode == "full":
-            boundary, succ = self.full_boundary, _next_full
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        for key, mat in boundary.items():
-            nxt = boundary.get(succ(key))
-            if nxt is not None and not mat.compose_is_zero(nxt):
-                return False
+    def d_squared_is_zero(self) -> bool:
+        """Exhaustive check that consecutive blocks of both boundaries compose to zero."""
+        for boundary in (self.graded_boundary, self.full_boundary):
+            for key, mat in boundary.items():
+                nxt = boundary.get(_shift_i(key))
+                if nxt is not None and not mat.compose_is_zero(nxt):
+                    return False
         return True
-
-    def bottom_k_chain_dim(self) -> int:
-        """Number of generators in the bottommost annular grading k = -n.
-
-        Empirically this is 1 (the distinguished all-minus braid-like
-        state); callers should check rather than assume.
-        """
-        return sum(dim for (_j, k, _i), dim in self.graded_dims.items() if k == -self.strands)
 
 
 def build_complex(
@@ -449,15 +436,12 @@ def build_complex(
     src_col = src_col[order]
     dst_col = dst_col[order]
     del order
-    return AnnularComplex(d, blocks, slot, index, (src_col, dst_col))
+    return AnnularComplex(blocks, slot, index, (src_col, dst_col))
 
 
-def _next_graded(key: tuple[int, int, int]) -> tuple[int, int, int]:
-    return key[0], key[1], key[2] + 1
-
-
-def _next_full(key: tuple[int, int]) -> tuple[int, int]:
-    return key[0], key[1] + 1
+def _shift_i(key: tuple, step: int = 1) -> tuple:
+    """The block key step homological degrees on; every block key ends in i."""
+    return key[:-1] + (key[-1] + step,)
 
 
 def generator_count(d: AnnularClosureDiagram) -> int:

@@ -13,7 +13,7 @@ block is held at a time.
 
 from __future__ import annotations
 
-from .cube import DEFAULT_MAX_CROSSINGS, AnnularComplex, CrossingLimitError, build_complex
+from .cube import DEFAULT_MAX_CROSSINGS, AnnularComplex, CrossingLimitError, _shift_i, build_complex
 from .diagram import closure_diagram
 from .words import BraidWord
 
@@ -40,16 +40,15 @@ def reduced_complex(w: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) ->
     return build_complex(closure_diagram(w.cyclic_reduce()), max_crossings=max_crossings)
 
 
-def _block_ranks(dims: dict, blocks, pred) -> dict:
+def _block_ranks(dims: dict, blocks) -> dict:
     # blocks are (key, matrix) pairs; each is dropped once ranked
     ranks = {}
     for key, mat in blocks:
-        if mat.rows and mat.cols:
-            ranks[key] = mat.rank()
+        ranks[key] = mat.rank()
         del mat
     out = {}
     for key, dim in dims.items():
-        h = dim - ranks.get(key, 0) - ranks.get(pred(key), 0)
+        h = dim - ranks.get(key, 0) - ranks.get(_shift_i(key, -1), 0)
         if h:
             out[key] = h
     return out
@@ -57,14 +56,12 @@ def _block_ranks(dims: dict, blocks, pred) -> dict:
 
 def homology_graded(cx: AnnularComplex) -> dict[tuple[int, int, int], int]:
     """Annular homology dimensions keyed by (j, k, i), zeros omitted."""
-    return _block_ranks(
-        cx.graded_dims, cx.graded_blocks(), lambda key: (key[0], key[1], key[2] - 1)
-    )
+    return _block_ranks(cx.graded_dims, cx.graded_blocks())
 
 
 def homology_full(cx: AnnularComplex) -> dict[tuple[int, int], int]:
     """Ordinary Khovanov homology dimensions keyed by (j, i), zeros omitted."""
-    return _block_ranks(cx.full_dims, cx.full_blocks(), lambda key: (key[0], key[1] - 1))
+    return _block_ranks(cx.full_dims, cx.full_blocks())
 
 
 def skh(

@@ -18,7 +18,7 @@ from .cube import DEFAULT_MAX_CROSSINGS, build_complex, plamenevskaya_generator
 from .diagram import closure_diagram
 from .gf2 import pack_unit_row
 from .homology import skh
-from .words import BraidWord
+from .words import MAX_WORD_LETTERS, BraidWord
 
 __all__ = [
     "Decision",
@@ -179,10 +179,13 @@ def flype_pair(u: int, v: int, w: int, sign: int) -> tuple[BraidWord, BraidWord]
     word's closure is oriented-isotopic to the reverse of the first, so
     the two closures always share their annular homology; for suitable
     parameters the underlying braids are not conjugate (a literature fact
-    the CLI cites rather than re-proving).
+    the CLI cites rather than re-proving). A pair of words over
+    MAX_WORD_LETTERS letters is refused before either is built.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if abs(u) + abs(v) + abs(w) + 1 > MAX_WORD_LETTERS:
+        raise ValueError(f"word has more than {MAX_WORD_LETTERS} letters")
     first = _twists(1, u) + _twists(2, v) + _twists(1, w) + [2 * sign]
     second = _twists(1, u) + [2 * sign] + _twists(1, w) + _twists(2, v)
     return BraidWord(3, tuple(first)), BraidWord(3, tuple(second))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-__all__ = ["MAX_WORD_LETTERS", "Permutation", "BraidWord", "parse_word"]
+__all__ = ["MAX_WORD_LETTERS", "MAX_STRANDS", "Permutation", "BraidWord", "parse_word"]
 
 
 @dataclass(frozen=True)
@@ -202,6 +202,12 @@ _TOKEN = re.compile(r"([+-]?\d+)(?:\^([+-]?\d+))?\Z")
 # (200 letters), and its tuple of letters stays under a megabyte.
 MAX_WORD_LETTERS = 100_000
 
+# Checked on the inferred and the explicit strand count, so that an index
+# such as 999999999999999999 or --strands 1000000000 cannot make a
+# permutation or a Burau matrix too large to hold; far above the widest
+# fixture or benchmark word (6 strands).
+MAX_STRANDS = 1_000
+
 # Longer indices and powers are refused before int() reads them (it refuses
 # over 4300 digits): an index-sized integer holds 18 digits, and such a
 # power is far over MAX_WORD_LETTERS.
@@ -216,7 +222,7 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
     A word of more than MAX_WORD_LETTERS letters is refused before any
     power is expanded. The strand count defaults to (max |index|) + 1, or
     to the explicit argument when that is larger; an explicit count too
-    small for some letter is an error.
+    small for some letter is an error, and so is a count over MAX_STRANDS.
     """
     powers: list[tuple[int, int]] = []
     for token in re.split(r"[,\s]+", text.strip()):
@@ -246,6 +252,8 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
         raise ValueError(
             f"word needs at least {required} strands but {strands} were requested"
         )
+    if strands > MAX_STRANDS:
+        raise ValueError(f"braid has {strands} strands, over the limit of {MAX_STRANDS}")
     return BraidWord(strands, tuple(letters))
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from annkh.burau import (
+    MAX_DET_SIZE,
     BivariatePoly,
     LaurentMatrix,
     LaurentPoly,
@@ -187,3 +188,12 @@ def test_bivariate_str_order():
 def test_matrix_must_be_square():
     with pytest.raises(ValueError):
         LaurentMatrix(((LaurentPoly.const(1),), ()))
+
+
+def test_determinants_of_large_matrices_are_refused():
+    # 40 rows would ask the subset expansion for 2^40 minors
+    for n in (40, MAX_DET_SIZE + 1):
+        m = LaurentMatrix.identity(n)
+        for det in (laurent_det, char_poly):
+            with pytest.raises(ValueError, match=f"limited to {MAX_DET_SIZE} rows"):
+                det(m)

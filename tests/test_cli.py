@@ -219,6 +219,19 @@ def test_bad_input_exit_one(capsys):
     assert run(["nope"]) == 1
     capsys.readouterr()
     assert run(["resolve", "1", "7"]) == 1
+    # inputs refused before they are built: too many letters, strands or rows
+    for argv in (
+        ["flype", "--u", "200000", "--v", "1", "--w", "1", "--sign", "+"],
+        ["skh", "999999999999999999"],
+        ["skh", "--strands", "1000000000", "1"],
+        ["equal", "--method", "garside", "--strands", "1000000000", "1", "1"],
+        ["burau", "--strands", "100000", "1"],
+        ["burau", "--strands", "40", "1"],
+    ):
+        capsys.readouterr()
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
 
 
 def test_help_exits_zero(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from annkh.cube import (
     DEFAULT_MAX_CROSSINGS,
+    AnnularComplex,
     CrossingLimitError,
     build_complex,
     enhanced_generator,
@@ -98,18 +99,27 @@ def test_dims_agree_between_groupings():
 
 def test_d_squared_zero_and_filtration():
     for text, n in [("1 1 1", 2), ("1 -2 1 -2", 3), ("-1 2 -3", 4), ("1 2 1 2 1 2", 3)]:
-        cx = cx_of(text, strands=n)
-        assert cx.k_increase_components == 0
-        assert cx.d_squared_is_zero("graded")
-        assert cx.d_squared_is_zero("full")
-    with pytest.raises(ValueError):
-        cx_of("1").d_squared_is_zero("nonsense")
+        assert cx_of(text, strands=n).d_squared_is_zero()
 
 
 def test_bottom_k_dimension_is_one():
     for text, n in [("1", 2), ("-1", 2), ("1 2 1", 3), ("1 -2 3 -2", 4), ("", 3)]:
         cx = cx_of(text, strands=n)
-        assert cx.bottom_k_chain_dim() == 1
+        assert sum(dim for (_j, k, _i), dim in cx.graded_dims.items() if k == -n) == 1
+
+
+@pytest.mark.parametrize(
+    "blocks, target, message",
+    [
+        ({(0, -2, 0): 1, (0, 0, 1): 1}, 1, "raised k"),
+        ({(0, 0, 0): 1, (2, 0, 1): 1}, 1, "left its quantum block"),
+        ({(0, 0, 0): 1, (0, 0, 1): 1}, -1, "left the slice"),
+    ],
+)
+def test_build_refuses_a_boundary_entry_that_breaks_an_invariant(blocks, target, message):
+    entries = np.array([0], dtype=np.int32), np.array([target], dtype=np.int32)
+    with pytest.raises(AssertionError, match=message):
+        AnnularComplex(blocks, {}, [], entries)
 
 
 def test_full_position_roundtrip():
@@ -186,7 +196,7 @@ def test_empty_word_complex():
     assert cx.total_generators == 8
     assert cx.graded_boundary == {}
     assert cx.full_boundary == {}
-    assert cx.bottom_k_chain_dim() == 1
+    assert sum(dim for (_j, k, _i), dim in cx.graded_dims.items() if k == -3) == 1
 
 
 def test_each_caller_packs_only_what_it_reads(monkeypatch):
@@ -246,7 +256,6 @@ def _check_slice(d, degrees, quantum, whole=None):
     assert part.num_vertices == sum(
         1 for v in range(1 << d.num_crossings) if v.bit_count() - d.n_minus in degrees
     )
-    assert part.k_increase_components == 0
     assert set(part.graded_boundary) == {k for k in whole.graded_boundary if built(k)}
     assert set(part.full_boundary) == {k for k in whole.full_boundary if built(k)}
     _same_blocks(part.graded_boundary, whole.graded_boundary)

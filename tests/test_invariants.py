@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -20,7 +21,7 @@ from annkh.invariants import (
     skh_trivial,
     words_equal_homological,
 )
-from annkh.words import BraidWord, parse_word
+from annkh.words import MAX_WORD_LETTERS, BraidWord, parse_word
 
 
 def test_skh_trivial_closed_form():
@@ -218,6 +219,21 @@ def test_flype_pair_template():
     assert second.letters == (1, -2, 1, 1, -2, -2)
     with pytest.raises(ValueError):
         flype_pair(1, 1, 1, 2)
+
+
+def test_flype_pair_refuses_long_words_before_building():
+    first, second = flype_pair(MAX_WORD_LETTERS - 3, 1, -1, 1)
+    assert len(first) == len(second) == MAX_WORD_LETTERS
+    with pytest.raises(ValueError, match="letters"):
+        flype_pair(MAX_WORD_LETTERS - 2, 1, -1, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="letters"):
+            flype_pair(10**12, 1, 1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_flype_reverse_is_rotation_of_second():

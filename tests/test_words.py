@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from annkh.words import MAX_WORD_LETTERS, BraidWord, Permutation, parse_word
+from annkh.words import MAX_STRANDS, MAX_WORD_LETTERS, BraidWord, Permutation, parse_word
 
 
 def test_permutation_composition_is_apply_then():
@@ -120,6 +120,19 @@ def test_parse_word_refuses_long_words_before_expanding():
         tracemalloc.stop()
     # expanding the power first would hold a 16 MB list of letters
     assert peak < 100_000
+
+
+def test_parse_word_refuses_too_many_strands():
+    assert parse_word(str(MAX_STRANDS - 1)).strands == MAX_STRANDS
+    assert parse_word("1", strands=MAX_STRANDS).strands == MAX_STRANDS
+    for text, strands in [
+        (str(MAX_STRANDS), None),
+        ("999999999999999999", None),
+        ("1", MAX_STRANDS + 1),
+        ("1", 10**9),
+    ]:
+        with pytest.raises(ValueError, match=f"over the limit of {MAX_STRANDS}"):
+            parse_word(text, strands=strands)
 
 
 def test_as_text_roundtrip():
