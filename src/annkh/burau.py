@@ -108,7 +108,7 @@ class LaurentPoly(_Poly):
         return self.terms == ((0, 1),)
 
     def __str__(self) -> str:
-        return _poly_str(sorted(self.terms), _t_monomial)
+        return _poly_str((((e,), c) for e, c in sorted(self.terms)), "T")
 
 
 class BivariatePoly(_Poly):
@@ -133,29 +133,20 @@ class BivariatePoly(_Poly):
 
     def __str__(self) -> str:
         ordered = sorted(self.terms, key=lambda item: (-item[0][0], item[0][1]))
-        return _poly_str(ordered, lambda e: _lt_monomial(*e))
+        return _poly_str(ordered, "LT")
 
 
-def _t_monomial(e: int) -> str:
-    if e == 0:
-        return ""
-    return "T" if e == 1 else f"T^{e}"
+def _monomial(names: str, exps: tuple) -> str:
+    """One factor per nonzero exponent, v or v^e, joined by '*'."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e)
 
 
-def _lt_monomial(le: int, te: int) -> str:
-    parts = []
-    if le:
-        parts.append("L" if le == 1 else f"L^{le}")
-    if te:
-        parts.append("T" if te == 1 else f"T^{te}")
-    return "*".join(parts)
-
-
-def _poly_str(terms, mono) -> str:
-    """Print (exponent, coeff) terms in the order given."""
+def _poly_str(terms, names: str) -> str:
+    """Print (exponents, coeff) terms in the order given, one exponent per
+    variable in names."""
     pieces = []
     for e, c in terms:
-        m = mono(e)
+        m = _monomial(names, e)
         if not m:
             body = str(abs(c))
         elif abs(c) == 1:

@@ -159,25 +159,20 @@ def _cmd_plam(args, env):
     return lines, 0
 
 
-def _matrix_grid(m) -> list[str]:
-    cells = [[str(e) for e in row] for row in m.entries]
-    widths = [max(len(cells[r][c]) for r in range(m.n)) for c in range(m.n)]
-    return [
-        "[ " + "  ".join(cells[r][c].ljust(widths[c]) for c in range(m.n)) + " ]"
-        for r in range(m.n)
-    ]
+def _matrix_grid(cells: list[list[str]]) -> list[str]:
+    widths = [max(len(row[c]) for row in cells) for c in range(len(cells))]
+    return ["[ " + "  ".join(map(str.ljust, row, widths)) + " ]" for row in cells]
 
 
 def _cmd_burau(args, env):
     w = _word(args, env)
     m = burau_matrix(w)
-    lines = _matrix_grid(m)
+    # laurent_det refuses large matrices, so it runs before any formatting
+    det = str(laurent_det(m))
+    cells = [[str(e) for e in row] for row in m.entries]
+    lines = _matrix_grid(cells)
     identity = m.is_identity()
-    payload = {
-        "matrix": [[str(e) for e in row] for row in m.entries],
-        "det": str(laurent_det(m)),
-        "is_identity": identity,
-    }
+    payload = {"matrix": cells, "det": det, "is_identity": identity}
     if args.charpoly:
         cp = str(char_poly(m))
         payload["charpoly"] = cp

@@ -10,6 +10,8 @@ are
     k = (#plus essential) - (#minus essential)
 
 with no further shift on k, so the trivial braid is symmetric about k = 0.
+One function, _degrees, computes them, for one labeling or for all the
+labelings built at a vertex at once.
 
 The boundary sums the GF(2) Frobenius maps over the cube edges. Merging
 two circles sends plus,plus to plus, a mixed pair to minus, and minus,minus
@@ -26,12 +28,16 @@ order, so a graded block (j, k, i) is a range of it, and so is a full
 block (j, i): its graded blocks side by side in increasing k. One edge
 sweep lists every boundary entry as a (source, target) pair of indices,
 in two columns sorted by source, from which each boundary's blocks are
-packed when read. Circles are numbered by least site, and an edge shares
-the sites of the circles it changes out anew, so the untouched circles
-keep their order and the first changed circle keeps its number: a target
-labeling is the source labeling with the second source circle's bit
-dropped (a merge) or a bit opened for the second target circle (a
-split), and the Frobenius map sets the changed circles' bits.
+packed when read. A crossing's four legs lie on one or two circles, so
+the least and greatest circle ids of its legs are the circles its edge
+changes: the edge merges them when the source has two and splits one
+when the target has two. Circles are numbered by least site, and an
+edge shares the sites of the circles it changes out anew, so the
+untouched circles keep their order and the first changed circle keeps
+its number: a target labeling is the source labeling with the second
+source circle's bit dropped (a merge) or a bit opened for the second
+target circle (a split), and the Frobenius map sets the changed
+circles' bits.
 The labelings built at a vertex, all or all with one plus count, are
 symmetric in the circles, so the columns are sized from them in advance.
 The cube is enumerated exhaustively, so the state count is exponential in
@@ -59,6 +65,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Iterable
 
 import numpy as np
@@ -116,6 +123,16 @@ class EnhancedGenerator:
     k: int
 
 
+def _degrees(d: AnnularClosureDiagram, vertex: int, windings: tuple, labels):
+    """i at the vertex, and j and k of labels, one labeling or an array."""
+    r = vertex.bit_count()
+    emask = sum(1 << ci for ci, w in enumerate(windings) if w != 0)
+    plus = np.asarray(np.bitwise_count(labels), dtype=np.int64)
+    plus_essential = np.asarray(np.bitwise_count(labels & emask), dtype=np.int64)
+    j = 2 * plus + (r + d.n_plus - 2 * d.n_minus - len(windings))
+    return r - d.n_minus, j, 2 * plus_essential - emask.bit_count()
+
+
 def enhanced_generator(d: AnnularClosureDiagram, vertex: int, labels: int) -> EnhancedGenerator:
     c = d.num_crossings
     if not 0 <= vertex < (1 << c):
@@ -124,14 +141,8 @@ def enhanced_generator(d: AnnularClosureDiagram, vertex: int, labels: int) -> En
     m = len(windings)
     if not 0 <= labels < (1 << m):
         raise ValueError(f"labels {labels} out of range for {m} circles")
-    r = vertex.bit_count()
-    plus = labels.bit_count()
-    essential_plus = sum(1 for ci, w in enumerate(windings) if w != 0 and (labels >> ci) & 1)
-    essential = sum(1 for w in windings if w != 0)
-    i = r - d.n_minus
-    j = (2 * plus - m) + r + d.n_plus - 2 * d.n_minus
-    k = 2 * essential_plus - essential
-    return EnhancedGenerator(vertex=vertex, labels=labels, i=i, j=j, k=k)
+    i, j, k = _degrees(d, vertex, windings, labels)
+    return EnhancedGenerator(vertex=vertex, labels=labels, i=i, j=int(j), k=int(k))
 
 
 def plamenevskaya_generator(d: AnnularClosureDiagram) -> EnhancedGenerator:
@@ -322,13 +333,10 @@ def build_complex(
         m = len(windings)
         if m > 26:
             raise CrossingLimitError(c, max_crossings, n, circles=m)
-        emask = sum(1 << ci for ci, w in enumerate(windings) if w != 0)
-        r = v.bit_count()
-        jbase = r + n_plus - 2 * n_minus
         plus = None
         if quantum is not None:
-            # j = 2 * plus - m + jbase; no labeling reaches an odd difference
-            twice = quantum - jbase + m
+            # j = 2 * plus + the scalar term of _degrees; odd differences are unreachable
+            twice = quantum - (v.bit_count() + n_plus - 2 * n_minus - m)
             plus = twice >> 1 if twice % 2 == 0 else -1
         if (m, plus) not in label_sets:
             labels = np.arange(1 << m, dtype=np.int64)
@@ -344,9 +352,8 @@ def build_complex(
         m_list.append(m)
         labels_list.append(labels)
         out_counts.append((merges, splits))
-        jj = 2 * np.bitwise_count(labels).astype(np.int64) - m + jbase
-        kk = 2 * np.bitwise_count(labels & emask).astype(np.int64) - emask.bit_count()
-        cells.append((jj * (c + 1) + r) * kspan + kk + n)
+        i, jj, kk = _degrees(d, v, windings, labels)
+        cells.append((jj * (c + 1) + (i + n_minus)) * kspan + kk + n)
 
     # number the generators by cell; the stable sort keeps vertex and then
     # labels order within a block. index[s] maps each labeling of the
@@ -390,6 +397,7 @@ def build_complex(
     dst_col = np.empty(total, dtype=np.int32)
     filled = 0
 
+    legs = [itemgetter(*d.crossing_sites(t)) for t in range(c)]
     nv = len(vertices)
     for sv, v in enumerate(vertices):
         if progress is not None and (sv & 511) == 0:
@@ -403,21 +411,19 @@ def build_complex(
                 continue
             su = slot[v | (1 << t)]
             stcu = stc_list[su]
-            sites = d.crossing_sites(t)
-            affected_src = sorted({stcv[s] for s in sites})
-            affected_dst = sorted({stcu[s] for s in sites})
-            if len(affected_src) + len(affected_dst) != 3:
+            src_ids, dst_ids = legs[t](stcv), legs[t](stcu)
+            a, b = min(src_ids), max(src_ids)
+            if (a != b) == (min(dst_ids) != max(dst_ids)):
                 raise AssertionError("a resolution change must merge two circles or split one")
             # the first changed circle keeps its least site and so its
             # number; the second source bit is dropped, or a target bit opened
-            if len(affected_src) == 2:
-                a, b = affected_src
+            if a != b:
                 x1, x2 = (labels >> a) & 1, (labels >> b) & 1
                 keep = (x1 | x2) != 0
                 rest = ((labels >> (b + 1)) << b) | (labels & ((1 << b) - 1) & ~(1 << a))
                 src, dst = labels[keep], rest[keep] | ((x1 & x2)[keep] << a)
             else:
-                (a,), (_, b) = affected_src, affected_dst
+                b = max(dst_ids)
                 ispos = (labels >> a) & 1 != 0
                 rest = ((labels >> b) << (b + 1)) | (labels & ((1 << b) - 1))
                 src = np.concatenate([labels[~ispos]] + [labels[ispos]] * 2)

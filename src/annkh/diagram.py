@@ -26,7 +26,9 @@ Site numbering (stable ids make circle enumeration reproducible):
 
 Every site has exactly two incident arcs, a vertical one inside its column
 and one other arc (the closure arc at a boundary site, the chosen smoothing
-at a crossing leg), so circles are traced by alternating the two kinds.
+at a crossing leg), so circles are traced a vertical arc and then the
+other kind at a time: a circle that leaves its first site by the vertical
+arc comes back to it by the other kind.
 """
 
 from __future__ import annotations
@@ -151,22 +153,18 @@ class AnnularClosureDiagram:
                 raise ValueError("more than 256 circles in one resolution; diagram too large")
             wind = 0
             cur = s0
-            vertical = True
             while True:
-                seen[cur] = 1
-                site_to_circle[cur] = cid
-                if vertical:
-                    cur = vp[cur]
+                mate = vp[cur]
+                seen[cur] = seen[mate] = 1
+                site_to_circle[cur] = site_to_circle[mate] = cid
+                if mate < n:  # top boundary: closure arc against the orientation
+                    wind -= 1
+                    cur = mate + n
+                elif mate < 2 * n:  # bottom boundary: closure arc with it
+                    wind += 1
+                    cur = mate - n
                 else:
-                    if cur < n:  # top boundary: closure arc against the orientation
-                        wind -= 1
-                        cur = cur + n
-                    elif cur < 2 * n:  # bottom boundary: closure arc with it
-                        wind += 1
-                        cur = cur - n
-                    else:
-                        cur = smooth[cur]
-                vertical = not vertical
+                    cur = smooth[mate]
                 if cur == s0:
                     break
             if wind not in (-1, 0, 1):

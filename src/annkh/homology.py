@@ -13,6 +13,7 @@ block is held at a time.
 
 from __future__ import annotations
 
+from .burau import _poly_str
 from .cube import DEFAULT_MAX_CROSSINGS, AnnularComplex, CrossingLimitError, _shift_i, build_complex
 from .diagram import closure_diagram
 from .words import BraidWord
@@ -86,39 +87,14 @@ def total_dim(dims: dict) -> int:
     return sum(dims.values())
 
 
-def _monomial(var: str, exp: int) -> str | None:
-    if exp == 0:
-        return None
-    if exp == 1:
-        return var
-    return f"{var}^{exp}"
-
-
-_POINCARE_VARS = ("t", "q", "a")
-
-
 def poincare_polynomial(dims: dict) -> str:
     """Render graded dimensions as a polynomial string.
 
     Keys are (i, j) or (i, j, k) exponent tuples for the variables
-    (t, q, a); terms are sorted by key and factors within a term joined
-    with '*'; a bare coefficient stands alone, as in
-    "q^-2*a^-2 + 2 + q^2*a^2".
+    (t, q, a) and values are dimensions, printed as coefficients by the
+    Burau polynomials' printer: terms are sorted by key, zeros are left
+    out and factors within a term are joined with '*'; a bare coefficient
+    stands alone, as in "q^-2*a^-2 + 2 + q^2*a^2". A negative
+    coefficient, which no homology table holds, prints as "- 2*q".
     """
-    terms = []
-    for key in sorted(dims):
-        coeff = dims[key]
-        if coeff == 0:
-            continue
-        factors = [
-            m for var, exp in zip(_POINCARE_VARS, key) for m in (_monomial(var, exp),) if m
-        ]
-        if not factors:
-            terms.append(str(coeff))
-        elif coeff == 1:
-            terms.append("*".join(factors))
-        else:
-            terms.append("*".join([str(coeff)] + factors))
-    if not terms:
-        return "0"
-    return " + ".join(terms)
+    return _poly_str([(key, c) for key, c in sorted(dims.items()) if c], "tqa")

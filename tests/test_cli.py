@@ -234,6 +234,17 @@ def test_bad_input_exit_one(capsys):
         assert captured.out == "" and captured.err.startswith("error: "), argv
 
 
+def test_burau_refuses_a_large_matrix_before_formatting_it(capsys, monkeypatch):
+    def grid(cells):
+        raise RuntimeError("the matrix grid was formatted")
+
+    monkeypatch.setattr("annkh.cli._matrix_grid", grid)
+    assert run(["burau", "--strands", "21", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: determinant of a 21x21 matrix is refused" in captured.err
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()

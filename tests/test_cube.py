@@ -1,5 +1,6 @@
 import random
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from annkh.cube import (
     generator_count,
     plamenevskaya_generator,
 )
-from annkh.diagram import closure_diagram
+from annkh.diagram import AnnularClosureDiagram, closure_diagram
 from annkh.gf2 import F2Matrix
 from annkh.homology import homology_full, homology_graded
 from annkh.words import BraidWord, parse_word
+from naive_skh import naive_complex
 
 
 def cx_of(text, strands=None, **kw):
@@ -307,3 +309,32 @@ def test_slice_edge_cases():
     part = build_complex(closure_diagram(w), degrees=[5], quantum=0)
     assert part.num_vertices == part.total_generators == 0
     assert part.graded_boundary == {} and part.full_boundary == {}
+
+
+def test_gradings_match_the_naive_oracle_generator_by_generator():
+    # circles may be numbered differently by the two tracers, so each
+    # vertex's gradings are compared as a multiset
+    rng = random.Random(19)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        letters = tuple(
+            rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 6) if n > 1 else 0)
+        )
+        d = closure_diagram(BraidWord(n, letters))
+        gens, _ = naive_complex(n, letters)
+        assert build_complex(d).graded_dims == Counter((j, k, i) for i, j, k in gens.values())
+        for v in range(1 << len(letters)):
+            m = len(d.resolve(v).circles)
+            engine = Counter(
+                (g.i, g.j, g.k) for g in (enhanced_generator(d, v, labels) for labels in range(1 << m))
+            )
+            assert engine == Counter(g for (u, _), g in gens.items() if u == v), (n, letters, v)
+
+
+def test_an_edge_that_neither_merges_nor_splits_is_refused(monkeypatch):
+    def one_circle(self, vertex):
+        return bytearray(self.num_sites), (0,), (0,)
+
+    monkeypatch.setattr(AnnularClosureDiagram, "_trace", one_circle)
+    with pytest.raises(AssertionError, match="a resolution change must merge two circles or split one"):
+        cx_of("1 1 1")
