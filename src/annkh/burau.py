@@ -221,16 +221,21 @@ def burau_matrix(w: BraidWord) -> LaurentMatrix:
 MAX_DET_SIZE = 20
 
 
-def _subset_det(rows, one, zero):
-    # D[mask] = det of the submatrix on the first popcount(mask) rows and
-    # the columns of mask; masks visit in increasing order so the smaller
-    # subsets are always ready.
-    n = len(rows)
+def check_det_size(n: int) -> None:
+    """Refuse the determinant of an n x n matrix over MAX_DET_SIZE rows."""
     if n > MAX_DET_SIZE:
         raise ValueError(
             f"determinant of a {n}x{n} matrix is refused: the subset expansion "
             f"is limited to {MAX_DET_SIZE} rows"
         )
+
+
+def _subset_det(rows, one, zero):
+    # D[mask] = det of the submatrix on the first popcount(mask) rows and
+    # the columns of mask; masks visit in increasing order so the smaller
+    # subsets are always ready.
+    n = len(rows)
+    check_det_size(n)
     full = (1 << n) - 1
     dets = [None] * (full + 1)
     dets[0] = one

@@ -26,7 +26,7 @@ import json
 import sys
 import time
 
-from .burau import burau_matrix, char_poly, laurent_det
+from .burau import burau_matrix, char_poly, check_det_size, laurent_det
 from .cube import DEFAULT_MAX_CROSSINGS, generator_count
 from .diagram import closure_diagram
 from .garside import left_normal_form, words_equal
@@ -166,8 +166,9 @@ def _matrix_grid(cells: list[list[str]]) -> list[str]:
 
 def _cmd_burau(args, env):
     w = _word(args, env)
+    # the strand count alone decides the refusal, so it comes before the matrix
+    check_det_size(w.strands)
     m = burau_matrix(w)
-    # laurent_det refuses large matrices, so it runs before any formatting
     det = str(laurent_det(m))
     cells = [[str(e) for e in row] for row in m.entries]
     lines = _matrix_grid(cells)

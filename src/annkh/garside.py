@@ -14,9 +14,19 @@ of words.Permutation:
 
 * starting set  S(x) = {i : x = sigma_i * (positive)}  = descents of x
 * finishing set F(x) = {i : x = (positive) * sigma_i}  = descents of x^-1
-* sigma_i^-1 = Delta^-1 * lift(Delta * s_i^-1), pushing all Delta^-1
-  powers to the front conjugates later factors by Delta, which on
-  permutations is conjugation by the order reversal.
+* sigma_i^-1 = Delta^-1 * (Delta s_i); pushing all Delta^-1 powers to the
+  front conjugates earlier factors by Delta, which maps s_i to s_{n-2-i}.
+
+The normal form is built in one left-to-right pass (Epstein et al., "Word
+Processing in Groups", ch. 9; El-Rifai and Morton 1994): each letter's
+factor is appended to the left-weighted factors so far, and adjacent pairs
+are left-weighted leftward from the new factor until a pair does not move.
+Factors are plain tuples until the result is returned. A pair (x, y) is
+left-weighted by sliding sigma_s from the front of y to the back of x while
+s is in S(y) but not in F(x), with positions taken from a worklist: a
+slide at s can only make s-1 and s+1 candidates, so the cost of a pair is
+one O(n) scan plus O(1) per crossing moved, and since the left-weighted
+pair is unique the worklist order does not change the result.
 """
 
 from __future__ import annotations
@@ -50,91 +60,61 @@ class NormalForm:
         return acc
 
 
-def _append_transposition(p: Permutation, i: int) -> Permutation:
-    # p * s_i in apply-then order swaps the values i and i+1
-    images = list(p.images)
-    for pos, v in enumerate(images):
-        if v == i:
-            images[pos] = i + 1
-        elif v == i + 1:
-            images[pos] = i
-    return Permutation(tuple(images))
+def _inverse(p) -> list[int]:
+    inv = [0] * len(p)
+    for pos, v in enumerate(p):
+        inv[v] = pos
+    return inv
 
 
-def _strip_transposition(p: Permutation, i: int) -> Permutation:
-    # s_i * p in apply-then order swaps the entries at positions i and i+1
-    images = list(p.images)
-    images[i], images[i + 1] = images[i + 1], images[i]
-    return Permutation(tuple(images))
+def _left_weight(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The left-weighted pair (x', y') with x' y' = x y, or None if (x, y) is one.
 
-
-def _left_complement(p: Permutation, delta: Permutation) -> Permutation:
-    # the permutation braid C with C * p = Delta, i.e. Delta * p^-1
-    return delta * p.inverse()
-
-
-def _normalize(n: int, factors: list[Permutation]) -> tuple[int, tuple[Permutation, ...]]:
-    """Left-weight a sequence of permutation-braid factors.
-
-    Repeated local moves: whenever some sigma_s starts the right factor of
-    an adjacent pair but does not finish the left one, slide it across.
-    Each move shifts one crossing strictly leftward so the sweep
-    terminates; half twists pile up at the front and are absorbed into the
-    Delta power, trivial factors are dropped.
+    Works on x^-1, so that moving sigma_s from y to x swaps the entries at
+    s and s+1 of both lists; a worklist entry is checked again when popped.
     """
-    delta = Permutation.longest(n)
-    fs = [f for f in factors if not f.is_identity()]
-    changed = True
-    while changed:
-        changed = False
-        for t in range(len(fs) - 1):
-            x, y = fs[t], fs[t + 1]
-            moved = False
-            extra = y.descents() - x.inverse().descents()
-            while extra:
-                s = min(extra)
-                x = _append_transposition(x, s)
-                y = _strip_transposition(y, s)
-                moved = True
-                if y.is_identity():
-                    break
-                extra = y.descents() - x.inverse().descents()
-            if moved:
-                fs[t], fs[t + 1] = x, y
-                changed = True
-        if changed:
-            fs = [f for f in fs if not f.is_identity()]
-    p = 0
-    while fs and fs[0] == delta:
-        fs.pop(0)
-        p += 1
-    return p, tuple(fs)
+    xinv, y = _inverse(x), list(y)
+    last = len(y) - 2
+    todo = [i for i in range(last + 1) if y[i] > y[i + 1] and xinv[i] < xinv[i + 1]]
+    if not todo:
+        return None
+    while todo:
+        s = todo.pop()
+        if y[s] > y[s + 1] and xinv[s] < xinv[s + 1]:
+            y[s], y[s + 1] = y[s + 1], y[s]
+            xinv[s], xinv[s + 1] = xinv[s + 1], xinv[s]
+            if s > 0:
+                todo.append(s - 1)
+            if s < last:
+                todo.append(s + 1)
+    return tuple(_inverse(xinv)), tuple(y)
 
 
 def left_normal_form(w: BraidWord) -> NormalForm:
     n = w.strands
-    if n == 1:
-        return NormalForm(1, 0, ())
-    delta = Permutation.longest(n)
-    factors: list[Permutation] = []
-    powers: list[int] = []
+    identity, delta = tuple(range(n)), tuple(range(n - 1, -1, -1))
+    # with every Delta^-1 at the front, a letter has been conjugated by
+    # Delta once per negative letter after it
+    negatives = flips = sum(g < 0 for g in w.letters)
+    fs: list[tuple[int, ...]] = []
     for g in w.letters:
-        s = Permutation.transposition(n, abs(g) - 1)
-        if g > 0:
-            factors.append(s)
-            powers.append(0)
-        else:
-            factors.append(_left_complement(s, delta))
-            powers.append(-1)
-    # push the Delta^-1 powers to the front; tau = conjugation by Delta has
-    # order two on permutations, so only the parity of the exponent matters
-    exponent = 0
-    for idx in range(len(factors) - 1, -1, -1):
-        if exponent % 2:
-            factors[idx] = delta * factors[idx] * delta
-        exponent += powers[idx]
-    extra, fs = _normalize(n, factors)
-    return NormalForm(n, exponent + extra, fs)
+        flips -= g < 0
+        i = abs(g) - 1 if flips % 2 == 0 else n - 1 - abs(g)
+        # s_i swaps the entries at i and i+1, Delta s_i the values i and i+1
+        f, pos = (list(identity), i) if g > 0 else (list(delta), n - 2 - i)
+        f[pos], f[pos + 1] = f[pos + 1], f[pos]
+        fs.append(tuple(f))
+        t = len(fs) - 1
+        while t > 0 and (pair := _left_weight(fs[t - 1], fs[t])) is not None:
+            fs[t - 1], fs[t] = pair
+            t -= 1
+        # only a suffix can become trivial: (1, y) is left-weighted only if y = 1
+        while fs and fs[-1] == identity:
+            fs.pop()
+    p = 0
+    while p < len(fs) and fs[p] == delta:
+        p += 1
+    return NormalForm(n, p - negatives, tuple(Permutation(f) for f in fs[p:]))
 
 
 def words_equal(w1: BraidWord, w2: BraidWord) -> bool:

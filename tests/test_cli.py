@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from annkh.burau import bigelow_kernel_word
+from annkh.burau import bigelow_kernel_word, burau_matrix
 from annkh.cli import run
 from annkh.cube import build_complex
 from annkh.diagram import closure_diagram
@@ -243,6 +243,23 @@ def test_burau_refuses_a_large_matrix_before_formatting_it(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: determinant of a 21x21 matrix is refused" in captured.err
+
+
+def test_burau_refuses_a_wide_word_before_building_its_matrix(capsys, monkeypatch):
+    calls = []
+
+    def counting_burau_matrix(w):
+        calls.append(w)
+        return burau_matrix(w)
+
+    monkeypatch.setattr("annkh.cli.burau_matrix", counting_burau_matrix)
+    assert run(["burau", "--strands", "21", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: determinant of a 21x21 matrix is refused" in captured.err
+    assert calls == []
+    assert run(["burau", "--strands", "3", "1"]) == 0
+    assert len(calls) == 1
 
 
 def test_help_exits_zero(capsys):

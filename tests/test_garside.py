@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from garside_sweep import sweep_normal_form
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from annkh.burau import bigelow_kernel_word
 from annkh.garside import NormalForm, is_left_weighted, left_normal_form, words_equal
-from annkh.words import BraidWord, Permutation, parse_word
+from annkh.words import MAX_STRANDS, BraidWord, Permutation, parse_word
 
 
 def random_word(rng, n, max_len):
@@ -112,3 +116,44 @@ def test_mixed_sign_words_agree_with_letterwise_cancellation():
             g = rng.choice([x for x in range(-(n - 1), n) if x != 0])
             padded = w.letters[:k] + (g, -g) + w.letters[k:]
             assert words_equal(w, BraidWord(n, padded))
+
+
+@st.composite
+def oracle_words(draw):
+    n = draw(st.integers(2, 8))
+    letters = draw(st.lists(st.integers(1, n - 1), max_size=30))
+    if draw(st.booleans()):
+        signs = [-1] * len(letters)
+    else:
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(letters), max_size=len(letters)))
+    return BraidWord(n, tuple(g * s for g, s in zip(letters, signs)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(oracle_words())
+def test_one_pass_matches_the_sweep(w):
+    assert left_normal_form(w) == sweep_normal_form(w)
+
+
+def test_one_pass_matches_the_sweep_on_bigelows_word():
+    w = bigelow_kernel_word()
+    nf = left_normal_form(w)
+    assert nf == sweep_normal_form(w)
+    assert not nf.is_trivial()
+
+
+def test_normal_forms_at_the_strand_limit():
+    n = MAX_STRANDS
+    assert words_equal(BraidWord(n, (1,)), BraidWord(n, (1,)))
+    assert left_normal_form(BraidWord(n, (1, -1))).is_trivial()
+    w = BraidWord(n, (1, 2, -1, 3, -2))
+    nf = left_normal_form(w)
+    assert (nf.infimum, nf.canonical_length()) == (-1, 2)
+    assert is_left_weighted(nf)
+    assert nf.permutation() == w.permutation()
+
+
+def test_wide_normal_forms_match_the_sweep():
+    for letters in ((1, -1), (1, 2, -1, 3, -2)):
+        w = BraidWord(50, letters)
+        assert left_normal_form(w) == sweep_normal_form(w)
